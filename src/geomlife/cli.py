@@ -23,7 +23,7 @@ from .estimator import NoRiskTimeError, SufficientStats, estimate, theta_hat
 from .likelihood import grid_argmax
 from .model import LatentUnit, StudyDesign, TruncationDist
 from .paths import PATH_COLUMNS, build_paths
-from .simulation import SimConfig, default_workers, mse_study, run_study
+from .simulation import SimConfig, default_workers, run_study
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -145,15 +145,13 @@ def _summarize_estimate(result) -> str:
 
 def _load_stats(args) -> SufficientStats:
     _require(args, ["input", "s", "G"])
-    with open(args.input, newline="") as fh:
-        if args.format == "aggregate":
+    if args.format == "units":
+        table = panel_io.count_units(args.input, s=args.s, G=args.G)
+        StudyDesign(s=args.s, G=args.G)  # rejects s < 1 or G < 1, after any row error
+    else:
+        with open(args.input, newline="") as fh:
             table = panel_io.parse_aggregate(fh, s=args.s, G=args.G)
-            return panel_io.to_sufficient_stats(table)
-        units = panel_io.parse_units(fh, s=args.s, G=args.G)
-        design = StudyDesign(s=args.s, G=args.G)
-        from .estimator import sufficient_stats
-
-        return sufficient_stats(units, design)
+    return panel_io.to_sufficient_stats(table)
 
 
 def cmd_estimate(args) -> int:
@@ -391,10 +389,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
     cleaned = {key.replace("-", "_"): value for key, value in overrides.items()}
+    subparsers = [sub for action in parser._subparsers._group_actions for sub in action.choices.values()]
+    known = {a.dest for sub in subparsers for a in sub._actions if a.dest != "help"}
+    unknown = [key for key in overrides if key.replace("-", "_") not in known]
+    if unknown:
+        raise ValueError(f"--config file has unknown key(s): {', '.join(map(repr, unknown))}")
     # Defaults lose to explicit flags, which is exactly the precedence wanted.
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            sub.set_defaults(**cleaned)
+    for sub in subparsers:
+        sub.set_defaults(**cleaned)
 
 
 _BUILTIN_DEFAULTS = {"level": 0.95, "output_format": "json"}

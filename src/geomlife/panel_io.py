@@ -4,13 +4,17 @@ Aggregate tables are long-format CSV with header ``cohort,outcome,count``:
 ``cohort`` is the truncation age (may be empty for a marginal table),
 ``outcome`` is a failure year ``1..s`` or the literal ``cens``, and
 ``count`` is a nonnegative integer.  Duplicate (cohort, outcome) rows are
-summed.  Unit-level files use header ``t,d,censored``.
+summed.  A table is either marginal (every ``cohort`` empty) or stratified
+(none empty); mixing the two would count units twice and is an error.
+Unit-level files use header ``t,d,censored``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .estimator import SufficientStats
@@ -93,6 +97,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
         raise PanelFormatError(f"expected header {','.join(AGGREGATE_HEADER)}, got {','.join(header)}", line=1)
 
     counts: dict = {}
+    marginal = None  # kind of the first data row; every later row must match
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -109,6 +114,15 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
                 raise PanelFormatError(f"cohort {raw_cohort!r} is not an integer", line=lineno)
             if not 0 <= cohort <= G - 1:
                 raise PanelFormatError(f"cohort {cohort} outside 0..{G - 1}", line=lineno)
+        if marginal is None:
+            marginal = cohort is None
+        elif marginal != (cohort is None):
+            first, this = ("marginal", "stratified") if marginal else ("stratified", "marginal")
+            raise PanelFormatError(
+                f"{this} row in a {first} table; marginal (empty cohort) and stratified "
+                "rows cannot be mixed",
+                line=lineno,
+            )
 
         if raw_outcome == CENSORED_OUTCOME:
             outcome = None
@@ -149,8 +163,50 @@ def serialize_aggregate(table: AggregateTable, stream: io.TextIOBase) -> None:
         )
 
 
+def _unit_row(row: list[str], s: int, G: int, lineno: int | None) -> tuple[int, int, bool] | None:
+    """Validate one ``t,d,censored`` row; ``(t, d, censored)``, or None if blank."""
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    if len(row) != 3:
+        raise PanelFormatError(f"expected 3 fields, got {len(row)}", line=lineno)
+    raw_t, raw_d, raw_censored = (cell.strip() for cell in row)
+
+    try:
+        t = int(raw_t)
+    except ValueError:
+        raise PanelFormatError(f"t {raw_t!r} is not an integer", line=lineno)
+    if not 0 <= t <= G - 1:
+        raise PanelFormatError(f"t {t} outside 0..{G - 1}", line=lineno)
+
+    if raw_censored not in ("0", "1"):
+        raise PanelFormatError(f"censored must be 0 or 1, got {raw_censored!r}", line=lineno)
+    censored = raw_censored == "1"
+
+    if censored:
+        if raw_d == "":
+            d = s
+        else:
+            try:
+                d = int(raw_d)
+            except ValueError:
+                raise PanelFormatError(f"d {raw_d!r} is not an integer", line=lineno)
+            if d != s:
+                raise PanelFormatError(f"censored unit must have d = s = {s} or empty, got {d}", line=lineno)
+    else:
+        try:
+            d = int(raw_d)
+        except ValueError:
+            raise PanelFormatError(f"d {raw_d!r} is not an integer", line=lineno)
+        if not 1 <= d <= s:
+            raise PanelFormatError(f"uncensored d {d} outside 1..{s}", line=lineno)
+    return t, d, censored
+
+
 def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
-    """Parse unit-level records ``t,d,censored`` (censored rows may omit d)."""
+    """Parse unit-level records ``t,d,censored`` (censored rows may omit d).
+
+    One object per row: the per-row reference for :func:`count_units`.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -161,43 +217,79 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
 
     units = []
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise PanelFormatError(f"expected 3 fields, got {len(row)}", line=lineno)
-        raw_t, raw_d, raw_censored = (cell.strip() for cell in row)
-
-        try:
-            t = int(raw_t)
-        except ValueError:
-            raise PanelFormatError(f"t {raw_t!r} is not an integer", line=lineno)
-        if not 0 <= t <= G - 1:
-            raise PanelFormatError(f"t {t} outside 0..{G - 1}", line=lineno)
-
-        if raw_censored not in ("0", "1"):
-            raise PanelFormatError(f"censored must be 0 or 1, got {raw_censored!r}", line=lineno)
-        censored = raw_censored == "1"
-
-        if censored:
-            if raw_d == "":
-                d = s
-            else:
-                try:
-                    d = int(raw_d)
-                except ValueError:
-                    raise PanelFormatError(f"d {raw_d!r} is not an integer", line=lineno)
-                if d != s:
-                    raise PanelFormatError(f"censored unit must have d = s = {s} or empty, got {d}", line=lineno)
-        else:
-            try:
-                d = int(raw_d)
-            except ValueError:
-                raise PanelFormatError(f"d {raw_d!r} is not an integer", line=lineno)
-            if not 1 <= d <= s:
-                raise PanelFormatError(f"uncensored d {d} outside 1..{s}", line=lineno)
-
-        units.append(ObservedUnit(t_obs=t, d=d, censored=censored))
+        parsed = _unit_row(row, s, G, lineno)
+        if parsed is not None:
+            units.append(ObservedUnit(*parsed))
     return units
+
+
+#: Encodings in which a byte 0x0A, 0x0D, 0x22, 0x2C or 0x00 is always that
+#: character, so a file can be split into lines before it is decoded.
+_LINE_SPLITTABLE_ENCODINGS = frozenset({"utf-8", "ascii"})
+
+
+def _plain_fields(line: bytes, encoding: str) -> list[str] | None:
+    """The row ``csv.reader`` gives for one raw line, or None if only csv can tell.
+
+    Quotes, NULs, carriage returns other than a trailing CRLF, overlong
+    lines and undecodable bytes all return None.
+    """
+    if line.endswith(b"\r\n"):
+        line = line[:-2]
+    elif line.endswith(b"\n"):
+        line = line[:-1]
+    if b'"' in line or b"\r" in line or b"\0" in line or len(line) > csv.field_size_limit():
+        return None
+    try:
+        text = line.decode(encoding)
+    except UnicodeDecodeError:
+        return None
+    return text.split(",") if text else []
+
+
+def _count_distinct_lines(raw: io.BufferedIOBase, encoding: str, s: int, G: int) -> AggregateTable | None:
+    """Tabulate a unit file by validating each distinct line once.
+
+    Returns None when the header or any distinct line is not a plain,
+    valid row; the caller then parses the file row by row, which reports
+    the first error with its line number.
+    """
+    header = _plain_fields(raw.readline(), encoding)
+    if header is None or [h.strip() for h in header] != UNITS_HEADER:
+        return None
+    counts: Counter = Counter()
+    for line, n in Counter(raw).items():
+        row = _plain_fields(line, encoding)
+        if row is None:
+            return None
+        try:
+            parsed = _unit_row(row, s, G, lineno=None)
+        except PanelFormatError:
+            return None
+        if parsed is not None:
+            t, d, censored = parsed
+            counts[(t, None if censored else d)] += n
+    return AggregateTable(s=s, G=G, counts=dict(counts))
+
+
+def count_units(path, s: int, G: int) -> AggregateTable:
+    """Read a ``t,d,censored`` file straight into an aggregate table.
+
+    Equal to tabulating :func:`parse_units`, with the same errors, but a
+    valid file costs one pass over its bytes and memory in the number of
+    distinct lines, not rows.  Files that need the csv rules (quoted
+    cells, stray carriage returns, ...) or hold an invalid row take the
+    per-row path.
+    """
+    with open(path, newline="") as fh:
+        if fh.seekable() and codecs.lookup(fh.encoding).name in _LINE_SPLITTABLE_ENCODINGS:
+            table = _count_distinct_lines(fh.buffer, fh.encoding, s, G)
+            if table is not None:
+                return table
+            fh.seek(0)
+        units = parse_units(fh, s, G)
+    counts = Counter((u.t_obs, None if u.censored else u.d) for u in units)
+    return AggregateTable(s=s, G=G, counts=dict(counts))
 
 
 def to_sufficient_stats(table: AggregateTable) -> SufficientStats:

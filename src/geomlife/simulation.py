@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .estimator import EstimateResult, SufficientStats, estimate
-from .model import StudyDesign, TruncationDist, check_theta, observe_arrays, sample_units
+from .model import THETA_EPS, StudyDesign, TruncationDist, check_theta, observe_arrays, sample_units
 
 #: Environment variable giving the default worker-process count.
 WORKERS_ENV_VAR = "GEOMLIFE_WORKERS"
@@ -35,7 +35,7 @@ class SimConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        check_theta(self.theta0)
+        check_theta(self.theta0, eps=THETA_EPS)  # the range sample_units accepts
         if self.n < 1 or self.n_replicates < 1:
             raise ValueError("n and n_replicates must be >= 1")
         if self.tdist.G != self.design.G:
@@ -158,7 +158,7 @@ def default_workers() -> int:
     try:
         return max(1, int(value))
     except ValueError:
-        return 1
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _collect_replicates(config: SimConfig, workers: int) -> np.ndarray:

@@ -98,6 +98,32 @@ class TestEstimate:
         assert code == 1
         assert "--input" in err
 
+    def test_unit_file_matches_aggregate_table(self, capsys, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_bytes(b"t,d,censored\r\n0,1,0\r\n1,,1\n\n1,2,1\n2,2,0\n")
+        units = run(capsys, "estimate", "--input", str(path), "--format", "units", "--s", "2", "--G", "5")
+        table = tmp_path / "table.csv"
+        table.write_text("cohort,outcome,count\n0,1,1\n1,cens,2\n2,2,1\n")
+        aggregate = run(capsys, "estimate", "--input", str(table), "--s", "2", "--G", "5")
+        assert units == aggregate
+        assert units[0] == 0
+
+    def test_bad_unit_row_reports_line(self, capsys, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text("t,d,censored\n0,1,0\n0,1,0\n9,1,0\n")
+        code, out, err = run(
+            capsys, "estimate", "--input", str(path), "--format", "units", "--s", "2", "--G", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: t 9 outside 0..4\n"
+
+    def test_mixed_aggregate_table_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(table1_csv() + table3_csv().split("\n", 1)[1])
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--s", "2", "--G", "5")
+        assert (code, out) == (1, "")
+        assert "line 5" in err and "cannot be mixed" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("cohort,outcome,count\n0,9,5\n")
@@ -276,6 +302,21 @@ class TestConfigFile:
         )
         assert code == 0
         assert json.loads(out)["level"] == 0.9
+
+    def test_unknown_config_key(self, capsys, table1_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": 2, "G": 5, "levle": 0.9}))
+        code, out, err = run(
+            capsys, "estimate", "--config", str(cfg), "--input", str(table1_path)
+        )
+        assert (code, out) == (1, "")
+        assert "'levle'" in err
+
+    def test_config_keys_of_other_subcommands_accepted(self, capsys, table1_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": 2, "G": 5, "n-list": "100,200", "theta0": 0.1}))
+        code, _, _ = run(capsys, "estimate", "--config", str(cfg), "--input", str(table1_path))
+        assert code == 0
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "estimate", "--config", "/nonexistent.json")

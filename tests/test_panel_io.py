@@ -1,12 +1,16 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomlife.estimator import SufficientStats, theta_hat
-from geomlife.model import ObservedUnit
+from geomlife import panel_io
+from geomlife.estimator import SufficientStats, sufficient_stats, theta_hat
+from geomlife.model import ObservedUnit, StudyDesign
 from geomlife.panel_io import (
     AggregateTable,
     PanelFormatError,
+    count_units,
     parse_aggregate,
     parse_units,
     serialize_aggregate,
@@ -77,6 +81,18 @@ class TestParseAggregate:
         with pytest.raises(PanelFormatError, match="empty"):
             parse_csv("")
 
+    @pytest.mark.parametrize(
+        "body,fragment,line",
+        [
+            (",1,5\n\n0,2,3\n", "stratified row in a marginal table", 4),
+            ("0,1,5\n,cens,3\n", "marginal row in a stratified table", 3),
+        ],
+    )
+    def test_marginal_and_stratified_rows_do_not_mix(self, body, fragment, line):
+        with pytest.raises(PanelFormatError, match=fragment) as err:
+            parse_csv("cohort,outcome,count\n" + body)
+        assert err.value.line == line
+
 
 class TestSerializeRoundTrip:
     def test_round_trip_identity(self):
@@ -130,6 +146,88 @@ class TestParseUnits:
     def test_domain_errors(self, body, fragment):
         with pytest.raises(PanelFormatError, match=fragment):
             parse_units(io.StringIO("t,d,censored\n" + body), s=2, G=5)
+
+
+def _per_row(path, s=2, G=5):
+    """Reference result: parse_units row by row, then sufficient_stats."""
+    try:
+        with open(path, newline="") as fh:
+            return sufficient_stats(parse_units(fh, s, G), StudyDesign(s=s, G=G))
+    except ValueError as exc:  # PanelFormatError or UnicodeDecodeError
+        return type(exc), str(exc)
+
+
+def _counted(path, s=2, G=5):
+    try:
+        return to_sufficient_stats(count_units(path, s, G))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_VALID_ROWS = st.sampled_from(
+    ["0,1,0", "3,2,0", "4,,1", "1,2,1", "2, ,1", " 0 , 1 , 0 ", "\t2,1 ,0", "", "   ", ",,"]
+)
+_CELLS = st.sampled_from(["0", "1", "2", "4", "5", "-1", "", " 1", "2 ", " ", "01", "x", "1.0", "\t3"])
+_ODD_ROWS = st.one_of(
+    st.tuples(_CELLS, _CELLS, _CELLS).map(",".join),
+    st.sampled_from(["0,1", "0,1,0,0", '"0",1,0', '0,"2",0', '"1\n",1,0', "0,1\r,0", "\r", "4,\x00,1"]),
+    st.binary(max_size=6).map(lambda b: b.decode("latin-1")),
+)
+
+
+@st.composite
+def _unit_files(draw):
+    """A t,d,censored file: plain valid rows, or valid rows mixed with every oddity."""
+    header = draw(st.sampled_from(["t,d,censored"] * 4 + [" t , d ,censored", "t,d", '"t",d,censored', ""]))
+    rows = st.one_of(_VALID_ROWS, _ODD_ROWS) if draw(st.booleans()) else _VALID_ROWS
+    lines = [header] + draw(st.lists(rows, max_size=12))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    # latin-1 bytes above 0x7f are not valid UTF-8
+    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+
+
+class TestCountUnits:
+    @settings(max_examples=400)
+    @given(data=_unit_files())
+    def test_agrees_with_per_row_parse(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("units") / "units.csv"
+        path.write_bytes(data)
+        assert _counted(path) == _per_row(path)
+
+    def test_bad_row_after_valid_lines_reports_first_error(self, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_bytes(b"t,d,censored\n0,1,0\n1,,1\n\n0,1,0\n3,9,0\n1,,1\n4,x,0\n")
+        with pytest.raises(PanelFormatError) as err:
+            count_units(path, 2, 5)
+        assert str(err.value) == "line 6: uncensored d 9 outside 1..2"
+        assert _counted(path) == _per_row(path)
+
+    def test_per_row_path_starts_from_zero_counts(self, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_bytes(b't,d,censored\n0,1,0\n1,,1\n0,1,0\n"2",2,0\n')
+        stats = to_sufficient_stats(count_units(path, 2, 5))
+        assert (stats.m, stats.m_uncens, stats.duration_sum) == (4, 3, 4)
+        assert stats == _per_row(path)
+
+    def test_valid_file_is_counted_without_per_row_parse(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_units called on a plain valid file")
+
+        monkeypatch.setattr(panel_io, "parse_units", refuse)
+        path = tmp_path / "units.csv"
+        path.write_bytes(b"t , d, censored\r\n0,1,0\r\n\n 4 ,,1\n3,2,1\n  \n4,,1\n1,2,0")
+        table = count_units(path, 2, 5)
+        assert table.counts == {(0, 1): 1, (4, None): 2, (3, None): 1, (1, 2): 1}
+
+    def test_reference_panel_as_units(self, tmp_path):
+        lines = ["t,d,censored\n"]
+        for (cohort, outcome), count in table3().counts.items():
+            lines += [f"{cohort},{'' if outcome is None else outcome},{int(outcome is None)}\n"] * count
+        path = tmp_path / "units.csv"
+        path.write_text("".join(lines))
+        assert to_sufficient_stats(count_units(path, S, G)) == to_sufficient_stats(table1())
 
 
 class TestToSufficientStats:

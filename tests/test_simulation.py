@@ -199,8 +199,15 @@ class TestWorkerDefaults:
         assert default_workers() == 1
         monkeypatch.setenv("GEOMLIFE_WORKERS", "3")
         assert default_workers() == 3
-        monkeypatch.setenv("GEOMLIFE_WORKERS", "junk")
-        assert default_workers() == 1
+
+    def test_non_integer_env_var_rejected(self, monkeypatch):
+        from geomlife.simulation import default_workers
+
+        monkeypatch.setenv("GEOMLIFE_WORKERS", "two")
+        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
+            default_workers()
+        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
+            run_study(config(K=1))
 
     def test_env_worker_count_does_not_change_results(self, monkeypatch):
         c = config(n=400, K=10, seed=19)
@@ -224,6 +231,11 @@ class TestValidation:
                 n_replicates=1,
                 seed=0,
             )
+
+    @pytest.mark.parametrize("theta0", [0.0, 1.0, 1e-9])
+    def test_theta0_outside_sampler_range_rejected_at_construction(self, theta0):
+        with pytest.raises(ValueError, match="theta"):
+            config(theta0=theta0)
 
     def test_mse_study_needs_sizes(self):
         with pytest.raises(ValueError):
