@@ -21,18 +21,14 @@ from .model import (
     geom_survival,
     life_expectancy,
     observe,
-    sample_unit,
     sample_units,
 )
 from .panel_io import AggregateTable, PanelFormatError, parse_aggregate, parse_units, to_sufficient_stats
-from .paths import PathBundle, build_paths, martingale_residual, sum_identities
+from .paths import PathBundle, build_paths, sum_identities
 from .simulation import (
     SimConfig,
     StudyReport,
     asymptotic_variance,
-    clt_check,
-    coverage_study,
-    mse_study,
     run_replicate,
     run_study,
 )
@@ -55,23 +51,18 @@ __all__ = [
     "TruncationDist",
     "asymptotic_variance",
     "build_paths",
-    "clt_check",
     "conditional_loglik",
-    "coverage_study",
     "estimate",
     "geom_pmf",
     "geom_survival",
     "grid_argmax",
     "life_expectancy",
     "likelihood_contribution",
-    "martingale_residual",
-    "mse_study",
     "observe",
     "parse_aggregate",
     "parse_units",
     "run_replicate",
     "run_study",
-    "sample_unit",
     "sample_units",
     "sufficient_stats",
     "sum_identities",

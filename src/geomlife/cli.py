@@ -23,7 +23,7 @@ from .estimator import NoRiskTimeError, SufficientStats, estimate, theta_hat
 from .likelihood import grid_argmax
 from .model import LatentUnit, StudyDesign, TruncationDist
 from .paths import PATH_COLUMNS, build_paths
-from .simulation import SimConfig, default_workers, run_study
+from .simulation import SimConfig, run_study
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -159,32 +159,13 @@ def cmd_estimate(args) -> int:
     result = estimate(stats, level=args.level)
     payload = result.to_dict()
     if args.output_format == "csv":
-        rows = [
-            {
-                **{k: v for k, v in payload.items() if not isinstance(v, list)},
-                "ci_lo": payload["ci"][0],
-                "ci_hi": payload["ci"][1],
-                "life_expectancy_ci_lo": payload["life_expectancy_ci"][0],
-                "life_expectancy_ci_hi": payload["life_expectancy_ci"][1],
-            }
-        ]
-        columns = [
-            "theta_hat",
-            "se",
-            "var",
-            "level",
-            "ci_lo",
-            "ci_hi",
-            "life_expectancy",
-            "life_expectancy_ci_lo",
-            "life_expectancy_ci_hi",
-            "m",
-            "m_uncens",
-            "m_cens",
-            "risk_time",
-            "degenerate",
-        ]
-        _dump_csv(rows, columns, args.output)
+        row = {}  # the JSON fields in order, each interval split into _lo, _hi
+        for key, value in payload.items():
+            if isinstance(value, list):
+                row[f"{key}_lo"], row[f"{key}_hi"] = value
+            else:
+                row[key] = value
+        _dump_csv([row], list(row), args.output)
     else:
         _dump_json(payload, args.output)
     sys.stderr.write(_summarize_estimate(result))
@@ -195,7 +176,6 @@ def cmd_simulate(args) -> int:
     _require(args, ["study", "theta0", "s", "G", "K", "seed"])
     design = StudyDesign(s=args.s, G=args.G)
     tdist = _parse_tdist(args.tdist, args.G)
-    workers = args.workers if args.workers is not None else default_workers()
 
     if args.study == "mse":
         if args.n_list:
@@ -219,7 +199,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             level=args.level,
         )
-        report = run_study(config, workers=workers)
+        report = run_study(config, workers=args.workers)
         rows.append(report.to_row())
         sys.stderr.write(
             f"n={n} K={args.K}: mse={report.mse:.6g} coverage={report.coverage:.4f} "

@@ -32,26 +32,25 @@ def check_theta(theta: float, eps: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class StudyDesign:
-    """Observation-window length ``s``, cohort count ``G``, path horizon.
+    """Observation-window length ``s`` and cohort count ``G``.
 
-    ``horizon`` bounds the age index of per-unit path vectors; the default
-    ``s + G - 1`` covers every age at which an observable unit can be seen
-    at risk or fail.  It does not limit sampled lifespans.
+    ``horizon = s + G - 1`` bounds the age index of per-unit path vectors;
+    it covers every age at which an observable unit can be seen at risk
+    or fail.  It does not limit sampled lifespans.
     """
 
     s: int
     G: int
-    horizon: int = 0
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError(f"window length s must be >= 1, got {self.s}")
         if self.G < 1:
             raise ValueError(f"cohort count G must be >= 1, got {self.G}")
-        if self.horizon == 0:
-            object.__setattr__(self, "horizon", self.s + self.G - 1)
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+
+    @property
+    def horizon(self) -> int:
+        return self.s + self.G - 1
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,6 @@ def sample_units(
     return x, t
 
 
-def sample_unit(theta: float, tdist: TruncationDist, rng: np.random.Generator) -> LatentUnit:
-    """Draw a single latent unit (see :func:`sample_units`)."""
-    x, t = sample_units(theta, tdist, 1, rng)
-    return LatentUnit(x=int(x[0]), t=int(t[0]))
-
-
 def observe(unit: LatentUnit, design: StudyDesign) -> ObservedUnit | None:
     """Apply the truncation/censoring scheme to a latent unit.
 
@@ -192,18 +185,14 @@ def observe(unit: LatentUnit, design: StudyDesign) -> ObservedUnit | None:
     return ObservedUnit(t_obs=unit.t, d=d, censored=censored)
 
 
-def observe_arrays(
-    x: np.ndarray, t: np.ndarray, design: StudyDesign
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`observe`: masks (observed, censored) and durations.
+def observe_arrays(x: np.ndarray, t: np.ndarray, design: StudyDesign) -> np.ndarray:
+    """Vectorized :func:`observe`: one outcome code per unit.
 
-    ``d`` is only meaningful where ``observed`` is True.  Element-wise
-    identical to observe() applied unit by unit.
+    The code is 0 for a truncated unit, the failure year ``d`` in 1..s for
+    an uncensored one and ``s + 1`` for a censored one, so that element
+    by element it encodes what observe() returns.
     """
-    observed = x > t
-    censored = observed & (x > t + design.s)
-    d = np.minimum(x, t + design.s) - t
-    return observed, censored, d
+    return np.clip(x - t, 0, design.s + 1)
 
 
 def observation_probability(theta: float, tdist: TruncationDist) -> float:

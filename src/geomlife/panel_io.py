@@ -77,18 +77,18 @@ class AggregateTable:
         return AggregateTable(s=self.s, G=self.G, counts=counts)
 
 
-def _sort_key(item):
-    (cohort, outcome), _ = item
-    return (
-        -1 if cohort is None else cohort,
-        outcome is None,  # 'cens' sorts after numeric outcomes
-        0 if outcome is None else outcome,
-    )
+def _csv_rows(stream: io.TextIOBase):
+    """The rows of ``csv.reader``; a csv-level error becomes a PanelFormatError."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise PanelFormatError(str(exc), line=reader.line_num) from None
 
 
 def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     """Parse and validate a long-format aggregate CSV."""
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -149,20 +149,6 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     return AggregateTable(s=s, G=G, counts=counts)
 
 
-def serialize_aggregate(table: AggregateTable, stream: io.TextIOBase) -> None:
-    """Write a table in deterministic order: cohort asc, outcomes asc, cens last."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(AGGREGATE_HEADER)
-    for (cohort, outcome), count in sorted(table.counts.items(), key=_sort_key):
-        writer.writerow(
-            [
-                "" if cohort is None else cohort,
-                CENSORED_OUTCOME if outcome is None else outcome,
-                count,
-            ]
-        )
-
-
 def _unit_row(row: list[str], s: int, G: int, lineno: int | None) -> tuple[int, int, bool] | None:
     """Validate one ``t,d,censored`` row; ``(t, d, censored)``, or None if blank."""
     if not row or all(not cell.strip() for cell in row):
@@ -207,7 +193,7 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
 
     One object per row: the per-row reference for :func:`count_units`.
     """
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:

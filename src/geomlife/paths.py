@@ -45,10 +45,6 @@ class PathBundle:
     dm_tc: np.ndarray
     theta: float
 
-    def cumulative(self, increments: np.ndarray) -> np.ndarray:
-        """Cumulative process over ages, e.g. the residual path M(x)."""
-        return np.cumsum(increments)
-
 
 def dn_tc_indicator(x, t, age, s):
     """1{t < age <= t+s, age = x}; broadcasts over array arguments."""
@@ -103,8 +99,3 @@ def sum_identities(unit: LatentUnit, design: StudyDesign) -> tuple[int, int]:
     events = int(t < x <= t + s)
     risk_time = int(t < x) * (min(x, t + s) - t)
     return events, risk_time
-
-
-def martingale_residual(paths: PathBundle) -> np.ndarray:
-    """Residual increments dm_tc; cumulate for the residual path M(x)."""
-    return paths.dm_tc

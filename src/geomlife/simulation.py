@@ -1,6 +1,8 @@
 """Monte Carlo engine: consistency (MSE), CI coverage, CLT shape checks.
 
-Replicates are independent: replicate ``k`` draws its rng from
+Each replicate is tabulated into the same (cohort x outcome) count table
+the panel parsers produce, and reduced by the same code.  Replicates are
+independent: replicate ``k`` draws its rng from
 ``SeedSequence(seed, spawn_key=(k,))``, so results are bit-identical
 whatever the execution order or degree of parallelism.  Degenerate
 replicates (no observed units or no observed failures) enter the MSE with
@@ -12,13 +14,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
 
 from .estimator import EstimateResult, SufficientStats, estimate
 from .model import THETA_EPS, StudyDesign, TruncationDist, check_theta, observe_arrays, sample_units
+from .panel_io import AggregateTable, to_sufficient_stats
+from .paths import dn_tc_indicator, y_tc_prev_indicator
 
 #: Environment variable giving the default worker-process count.
 WORKERS_ENV_VAR = "GEOMLIFE_WORKERS"
@@ -38,6 +42,8 @@ class SimConfig:
         check_theta(self.theta0, eps=THETA_EPS)  # the range sample_units accepts
         if self.n < 1 or self.n_replicates < 1:
             raise ValueError("n and n_replicates must be >= 1")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.tdist.G != self.design.G:
             raise ValueError(
                 f"truncation pmf has {self.tdist.G} entries but design has G={self.design.G}"
@@ -121,20 +127,15 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
 
 
 def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
-    """Draw one latent sample, observe it, and aggregate to sufficient stats."""
+    """Draw one latent sample, observe it, and reduce its count table."""
     rng = _replicate_rng(config.seed, replicate_index)
     x, t = sample_units(config.theta0, config.tdist, config.n, rng)
-    observed, censored, d = observe_arrays(x, t, config.design)
-    uncens = observed & ~censored
-    m_uncens = int(uncens.sum())
-    m_cens = int(censored.sum())
-    return SufficientStats(
-        m=m_uncens + m_cens,
-        m_uncens=m_uncens,
-        m_cens=m_cens,
-        duration_sum=int(d[uncens].sum()),
-        s=config.design.s,
-    )
+    s, G = config.design.s, config.design.G
+    codes = observe_arrays(x, t, config.design)
+    cells = np.bincount(t * (s + 2) + codes, minlength=G * (s + 2)).reshape(G, s + 2)
+    # column 0 holds the truncated units, which the panel never records
+    table = AggregateTable.from_wide(dict(enumerate(cells[:, 1:].tolist())), s=s, G=G)
+    return to_sufficient_stats(table)
 
 
 def run_replicate(config: SimConfig, replicate_index: int) -> EstimateResult | None:
@@ -156,9 +157,12 @@ def _replicate_row(args) -> tuple[int, float, float, float, bool]:
 def default_workers() -> int:
     value = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {value!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {value!r}")
+    return workers
 
 
 def _collect_replicates(config: SimConfig, workers: int) -> np.ndarray:
@@ -180,6 +184,8 @@ def _collect_replicates(config: SimConfig, workers: int) -> np.ndarray:
 def run_study(config: SimConfig, workers: int | None = None) -> StudyReport:
     """Run all replicates and summarize MSE, coverage, and CLT shape."""
     workers = default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     rows = _collect_replicates(config, workers)
     theta_hats, ci_lo, ci_hi = rows[:, 0], rows[:, 1], rows[:, 2]
     degenerate = rows[:, 3].astype(bool)
@@ -224,25 +230,6 @@ def run_study(config: SimConfig, workers: int | None = None) -> StudyReport:
     )
 
 
-def mse_study(
-    config: SimConfig, n_list: list[int], workers: int | None = None
-) -> list[tuple[int, float]]:
-    """Simulated mean squared error of theta_hat for each latent sample size."""
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    return [(n, run_study(replace(config, n=n), workers).mse) for n in n_list]
-
-
-def coverage_study(config: SimConfig, workers: int | None = None) -> float:
-    """Fraction of replicate Wald intervals containing theta0."""
-    return run_study(config, workers).coverage
-
-
-def clt_check(config: SimConfig, workers: int | None = None) -> StudyReport:
-    """Moments and KS distance of sqrt(n)(theta_hat - theta0) * sigma_pb."""
-    return run_study(config, workers)
-
-
 def martingale_diagnostics(config: SimConfig) -> dict:
     """Age-by-age residual means over one large simulated sample.
 
@@ -262,8 +249,8 @@ def martingale_diagnostics(config: SimConfig) -> dict:
     at_risk = np.empty(horizon, dtype=np.int64)
     events = np.empty(horizon, dtype=np.int64)
     for i, age in enumerate(ages):
-        dn = (t < age) & (age <= t + s) & (x == age)
-        y = (t < age) & (age <= np.minimum(x, t + s))
+        dn = dn_tc_indicator(x, t, age, s)
+        y = y_tc_prev_indicator(x, t, age, s)
         dm = dn - config.theta0 * y
         dm_mean[i] = dm.mean()
         dm_se[i] = dm.std(ddof=1) / np.sqrt(n)

@@ -4,14 +4,18 @@ TABLE1 is the two-year marginal table (window s=2, cohorts G=5).  TABLE3
 is the same panel stratified by cohort; its first-year failure count for
 cohort t=1 carries a -30 adjustment so that the stratified counts pool
 exactly to the marginal table (the published stratified figures overshoot
-the marginal first-year total by 30).
+the marginal first-year total by 30).  ``data/table1.csv`` and
+``data/table3.csv`` hold the same tables as long-format CSV.
 """
 
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
-from geomlife.panel_io import AggregateTable, parse_aggregate, serialize_aggregate
+from geomlife.panel_io import AggregateTable, parse_aggregate
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 S, G = 2, 5
 
@@ -41,15 +45,11 @@ def table3() -> AggregateTable:
 
 
 def table1_csv() -> str:
-    buf = io.StringIO()
-    serialize_aggregate(table1(), buf)
-    return buf.getvalue()
+    return (DATA / "table1.csv").read_text()
 
 
 def table3_csv() -> str:
-    buf = io.StringIO()
-    serialize_aggregate(table3(), buf)
-    return buf.getvalue()
+    return (DATA / "table3.csv").read_text()
 
 
 def parse_csv(text: str, s: int = S, g: int = G) -> AggregateTable:

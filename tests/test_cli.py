@@ -65,6 +65,10 @@ class TestEstimate:
         )
         assert code == 0
         assert out == ""
+        assert out_path.read_text().splitlines()[0] == (
+            "theta_hat,se,var,level,ci_lo,ci_hi,life_expectancy,life_expectancy_ci_lo,"
+            "life_expectancy_ci_hi,m,m_uncens,m_cens,risk_time,degenerate"
+        )
         rows = list(csv.DictReader(out_path.open()))
         assert len(rows) == 1
         assert float(rows[0]["theta_hat"]) == pytest.approx(0.100884, abs=5e-7)
@@ -123,6 +127,22 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "--input", str(path), "--s", "2", "--G", "5")
         assert (code, out) == (1, "")
         assert "line 5" in err and "cannot be mixed" in err
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("units", "t,d,censored\n0,{},0\n"),
+            ("aggregate", "cohort,outcome,count\n0,1,{}\n"),
+        ],
+    )
+    def test_overlong_cell_is_input_error(self, capsys, tmp_path, fmt, text):
+        path = tmp_path / "long.csv"
+        path.write_text(text.format("1" * 140_000))
+        code, out, err = run(
+            capsys, "estimate", "--input", str(path), "--format", fmt, "--s", "2", "--G", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: field larger than field limit (131072)\n"
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -202,6 +222,30 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)[0]["theta0"] == 0.2
+
+    @pytest.mark.parametrize(
+        "flag,fragment",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--workers", "-2"], "workers must be >= 1"),
+            (["--level", "1.5"], "confidence level"),
+        ],
+    )
+    def test_bad_worker_count_or_level(self, capsys, flag, fragment):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--study", "coverage",
+            "--theta0", "0.1",
+            "--s", "2",
+            "--G", "5",
+            "--K", "2",
+            "--n", "50",
+            "--seed", "1",
+            *flag,
+        )
+        assert (code, out) == (1, "")
+        assert fragment in err
 
     def test_invalid_tdist(self, capsys):
         code, _, err = run(

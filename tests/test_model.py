@@ -15,7 +15,6 @@ from geomlife.model import (
     observation_probability,
     observe,
     observe_arrays,
-    sample_unit,
     sample_units,
 )
 
@@ -92,9 +91,11 @@ class TestSampling:
         assert abs((x == 1).mean() - 0.1) < 0.005
 
     def test_single_draw_matches_vectorized(self):
-        unit = sample_unit(0.2, TruncationDist.uniform(4), np.random.default_rng(5))
+        # n = 1: x by the inverse CDF of the first uniform, t from the second
         x, t = sample_units(0.2, TruncationDist.uniform(4), 1, np.random.default_rng(5))
-        assert (unit.x, unit.t) == (int(x[0]), int(t[0]))
+        u_x, u_t = np.random.default_rng(5).random(2)
+        assert int(x[0]) == max(1, math.ceil(math.log1p(-u_x) / math.log1p(-0.2)))
+        assert int(t[0]) == math.floor(4 * u_t)
 
     def test_truncation_ages_follow_pmf(self):
         rng = np.random.default_rng(42)
@@ -147,15 +148,18 @@ class TestObserve:
         design = StudyDesign(s=3, G=4)
         rng = np.random.default_rng(11)
         x, t = sample_units(0.25, TruncationDist.uniform(4), 500, rng)
-        observed, censored, d = observe_arrays(x, t, design)
+        codes = observe_arrays(x, t, design)
+        assert codes.shape == x.shape
         for i in range(x.size):
             unit = observe(LatentUnit(x=int(x[i]), t=int(t[i])), design)
             if unit is None:
-                assert not observed[i]
+                assert codes[i] == 0
+            elif unit.censored:
+                assert codes[i] == design.s + 1
             else:
-                assert observed[i]
-                assert censored[i] == unit.censored
-                assert d[i] == unit.d
+                assert codes[i] == unit.d
+        # every code occurs, so each branch above was exercised
+        assert set(codes.tolist()) == set(range(design.s + 2))
 
     def test_rejects_out_of_support_age(self):
         with pytest.raises(ValueError):
@@ -166,7 +170,7 @@ class TestObserve:
         tdist = TruncationDist.uniform(G)
         rng = np.random.default_rng(3)
         x, t = sample_units(theta, tdist, n, rng)
-        observed, _, _ = observe_arrays(x, t, StudyDesign(s=2, G=G))
+        observed = observe_arrays(x, t, StudyDesign(s=2, G=G)) > 0
         p = observation_probability(theta, tdist)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(observed.mean() - p) < 3 * se

@@ -13,7 +13,6 @@ from geomlife.panel_io import (
     count_units,
     parse_aggregate,
     parse_units,
-    serialize_aggregate,
     to_sufficient_stats,
 )
 
@@ -92,32 +91,6 @@ class TestParseAggregate:
         with pytest.raises(PanelFormatError, match=fragment) as err:
             parse_csv("cohort,outcome,count\n" + body)
         assert err.value.line == line
-
-
-class TestSerializeRoundTrip:
-    def test_round_trip_identity(self):
-        for table in (table1(), table3()):
-            buf = io.StringIO()
-            serialize_aggregate(table, buf)
-            again = parse_csv(buf.getvalue())
-            assert again.counts == table.counts
-
-    def test_deterministic_ordering(self):
-        shuffled = AggregateTable(
-            s=S,
-            G=G,
-            counts={(1, None): 3, (0, 2): 1, (1, 1): 2, (None, 1): 9, (0, None): 4},
-        )
-        buf = io.StringIO()
-        serialize_aggregate(shuffled, buf)
-        assert buf.getvalue().splitlines() == [
-            "cohort,outcome,count",
-            ",1,9",
-            "0,2,1",
-            "0,cens,4",
-            "1,1,2",
-            "1,cens,3",
-        ]
 
 
 class TestParseUnits:
@@ -264,8 +237,23 @@ class TestFromWide:
 
 class TestBundledData:
     def test_data_files_match_reference_tables(self):
-        from pathlib import Path
+        assert parse_csv(table1_csv()).counts == table1().counts
+        assert parse_csv(table3_csv()).counts == table3().counts
 
-        data = Path(__file__).resolve().parent.parent / "data"
-        assert (data / "table1.csv").read_text() == table1_csv()
-        assert (data / "table3.csv").read_text() == table3_csv()
+
+_LONG_CELL = "9" * (2**17 + 1)  # one over csv.field_size_limit()'s default
+
+
+class TestLongCells:
+    @pytest.mark.parametrize(
+        "parse,text,line",
+        [
+            (parse_units, f"t,d,censored\n0,{_LONG_CELL},0\n", 2),
+            (parse_aggregate, f"cohort,outcome,count\n0,1,{_LONG_CELL}\n", 2),
+            (parse_units, f"{_LONG_CELL}\n0,1,0\n", 1),
+            (parse_aggregate, f"cohort,outcome,count\n0,1,5\n\n0,2,{_LONG_CELL}\n", 4),
+        ],
+    )
+    def test_csv_error_becomes_panel_format_error(self, parse, text, line):
+        with pytest.raises(PanelFormatError, match=f"^line {line}: field larger than field limit"):
+            parse(io.StringIO(text), 2, 5)

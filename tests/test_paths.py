@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geomlife.model import LatentUnit, StudyDesign, TruncationDist, sample_units
-from geomlife.paths import build_paths, martingale_residual, sum_identities
+from geomlife.paths import build_paths, sum_identities
 
 DESIGN = StudyDesign(s=2, G=5)
 
@@ -34,11 +34,6 @@ class TestBuildPaths:
         b = build_paths(LatentUnit(x=3, t=0), DESIGN, theta=0.2)
         assert b.dn.tolist() == [0, 0, 1, 0, 0, 0]
         assert b.y_prev.tolist() == [1, 1, 1, 0, 0, 0]
-
-    def test_horizon_controls_length(self):
-        design = StudyDesign(s=2, G=5, horizon=10)
-        b = build_paths(LatentUnit(x=4, t=3), design, theta=0.1)
-        assert b.ages.size == 10
 
     def test_invariants_on_grid(self):
         theta = 0.4
@@ -90,17 +85,17 @@ class TestSumIdentities:
 class TestMartingaleResidual:
     def test_unobserved_unit_zero(self):
         b = build_paths(LatentUnit(x=1, t=4), DESIGN, theta=0.1)
-        assert not martingale_residual(b).any()
+        assert not b.dm_tc.any()
 
     def test_event_year_residual(self):
         b = build_paths(LatentUnit(x=4, t=3), DESIGN, theta=0.1)
-        dm = martingale_residual(b)
+        dm = b.dm_tc
         assert dm[3] == pytest.approx(0.9)
         assert np.delete(dm, 3).tolist() == [0, 0, 0, 0, 0]
 
     def test_cumulative_path(self):
         b = build_paths(LatentUnit(x=10, t=3), DESIGN, theta=0.1)
-        path = b.cumulative(martingale_residual(b))
+        path = np.cumsum(b.dm_tc)
         assert path[-1] == pytest.approx(-0.2)
 
     def test_zero_mean_at_true_parameter(self):

@@ -1,17 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from geomlife.model import StudyDesign, TruncationDist, geom_pmf
+from geomlife.estimator import sufficient_stats
+from geomlife.model import LatentUnit, StudyDesign, TruncationDist, geom_pmf, observe, sample_units
 from geomlife.simulation import (
     SimConfig,
+    _replicate_rng,
     asymptotic_variance,
-    clt_check,
-    coverage_study,
     expected_risk_profile,
     martingale_diagnostics,
-    mse_study,
+    replicate_stats,
     run_replicate,
     run_study,
 )
@@ -101,26 +102,49 @@ class TestRunReplicate:
         assert run_replicate(c, 0) is None
 
 
+def per_unit_stats(c, k):
+    """Oracle for replicate_stats: the same draw observed unit by unit."""
+    x, t = sample_units(c.theta0, c.tdist, c.n, _replicate_rng(c.seed, k))
+    units = [observe(LatentUnit(x=int(xi), t=int(ti)), c.design) for xi, ti in zip(x, t)]
+    return sufficient_stats([u for u in units if u is not None], c.design)
+
+
+class TestReplicateStats:
+    @pytest.mark.parametrize(
+        "theta0,s,G,tdist,n",
+        [
+            (0.1, 2, 5, TruncationDist.uniform(5), 3000),
+            (0.3, 4, 7, TruncationDist.uniform(7), 500),
+            (0.05, 3, 4, TruncationDist(np.array([0.1, 0.2, 0.3, 0.4])), 2000),
+            (0.9, 2, 40, TruncationDist.point_mass(39, 40), 50),  # all truncated
+            (0.5, 1, 1, TruncationDist.uniform(1), 1),
+            (0.5, 1, 1, TruncationDist.uniform(1), 200),
+        ],
+    )
+    def test_matches_per_unit_observation(self, theta0, s, G, tdist, n):
+        c = config(n=n, K=3, seed=8, theta0=theta0, design=StudyDesign(s=s, G=G), tdist=tdist)
+        for k in range(3):
+            assert replicate_stats(c, k) == per_unit_stats(c, k)
+
+
 class TestStudies:
     def test_single_replicate_mse(self):
         c = config(n=2000, K=1, seed=5)
         result = run_replicate(c, 0)
-        rows = mse_study(c, [2000])
-        assert rows == [(2000, (result.theta_hat - 0.1) ** 2)]
+        assert run_study(c).mse == (result.theta_hat - 0.1) ** 2
 
     def test_mse_shrinks_with_n(self):
         c = config(K=60, seed=21)
-        rows = dict(mse_study(c, [500, 5000]))
-        assert rows[5000] < rows[500]
+        assert run_study(replace(c, n=5000)).mse < run_study(replace(c, n=500)).mse
 
     def test_coverage_near_nominal(self):
         c = config(n=2000, K=200, seed=31)
-        coverage = coverage_study(c)
+        coverage = run_study(c).coverage
         assert 0.90 <= coverage <= 0.99
 
     def test_clt_report(self):
         c = config(n=2000, K=300, seed=13)
-        report = clt_check(c)
+        report = run_study(c)
         assert abs(report.mean) < 0.25
         assert 0.75 <= report.variance <= 1.25
         assert report.ks_distance < 0.1
@@ -200,6 +224,21 @@ class TestWorkerDefaults:
         monkeypatch.setenv("GEOMLIFE_WORKERS", "3")
         assert default_workers() == 3
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_var_below_one_rejected(self, monkeypatch, value):
+        from geomlife.simulation import default_workers
+
+        monkeypatch.setenv("GEOMLIFE_WORKERS", value)
+        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
+            default_workers()
+        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
+            run_study(config(K=1))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_argument_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_study(config(K=1), workers=workers)
+
     def test_non_integer_env_var_rejected(self, monkeypatch):
         from geomlife.simulation import default_workers
 
@@ -237,6 +276,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="theta"):
             config(theta0=theta0)
 
-    def test_mse_study_needs_sizes(self):
-        with pytest.raises(ValueError):
-            mse_study(config(), [])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+    def test_level_outside_unit_interval_rejected_at_construction(self, level):
+        with pytest.raises(ValueError, match="level"):
+            config(level=level)
