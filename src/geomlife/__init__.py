@@ -1,73 +1,64 @@
 """Closure-probability estimation for geometric lifespans from
-left-truncated, right-censored event-history panels."""
+left-truncated, right-censored event-history panels.
 
-from .estimator import (
-    EstimateResult,
-    NoRiskTimeError,
-    SufficientStats,
-    estimate,
-    sufficient_stats,
-    theta_hat,
-    var_hat,
-    wald_ci,
-)
-from .likelihood import LogLikProfile, conditional_loglik, grid_argmax, likelihood_contribution
-from .model import (
-    LatentUnit,
-    ObservedUnit,
-    StudyDesign,
-    TruncationDist,
-    geom_pmf,
-    geom_survival,
-    life_expectancy,
-    observe,
-    sample_units,
-)
-from .panel_io import AggregateTable, PanelFormatError, parse_aggregate, parse_units, to_sufficient_stats
-from .paths import PathBundle, build_paths, sum_identities
-from .simulation import (
-    SimConfig,
-    StudyReport,
-    asymptotic_variance,
-    run_replicate,
-    run_study,
-)
+The public names below are loaded on first use (PEP 562), so importing
+the package costs nothing until a name is needed, and a name loads only
+its own module and what that module imports.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateTable",
-    "EstimateResult",
-    "LatentUnit",
-    "LogLikProfile",
-    "NoRiskTimeError",
-    "ObservedUnit",
-    "PanelFormatError",
-    "PathBundle",
-    "SimConfig",
-    "StudyDesign",
-    "StudyReport",
-    "SufficientStats",
-    "TruncationDist",
-    "asymptotic_variance",
-    "build_paths",
-    "conditional_loglik",
-    "estimate",
-    "geom_pmf",
-    "geom_survival",
-    "grid_argmax",
-    "life_expectancy",
-    "likelihood_contribution",
-    "observe",
-    "parse_aggregate",
-    "parse_units",
-    "run_replicate",
-    "run_study",
-    "sample_units",
-    "sufficient_stats",
-    "sum_identities",
-    "theta_hat",
-    "to_sufficient_stats",
-    "var_hat",
-    "wald_ci",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "EstimateResult": "estimator",
+    "NoRiskTimeError": "estimator",
+    "SufficientStats": "estimator",
+    "estimate": "estimator",
+    "sufficient_stats": "estimator",
+    "theta_hat": "estimator",
+    "var_hat": "estimator",
+    "wald_ci": "estimator",
+    "LogLikProfile": "likelihood",
+    "conditional_loglik": "likelihood",
+    "grid_argmax": "likelihood",
+    "likelihood_contribution": "likelihood",
+    "LatentUnit": "model",
+    "ObservedUnit": "model",
+    "StudyDesign": "model",
+    "TruncationDist": "model",
+    "geom_pmf": "model",
+    "geom_survival": "model",
+    "life_expectancy": "model",
+    "observe": "model",
+    "sample_units": "model",
+    "AggregateTable": "panel_io",
+    "PanelFormatError": "panel_io",
+    "parse_aggregate": "panel_io",
+    "parse_units": "panel_io",
+    "to_sufficient_stats": "panel_io",
+    "PathBundle": "paths",
+    "build_paths": "paths",
+    "sum_identities": "paths",
+    "SimConfig": "simulation",
+    "StudyReport": "simulation",
+    "asymptotic_variance": "simulation",
+    "run_replicate": "simulation",
+    "run_study": "simulation",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -5,6 +5,10 @@ summaries and diagnostics go to stderr.  Exit codes: 0 success, 1 input
 error, 2 degenerate statistical result.  Numbers in machine output carry
 12 significant digits.  A JSON file passed via ``--config`` supplies
 defaults for any flag (command-line flags win).
+
+``estimate`` runs on the standard library alone: the modules that need
+numpy (likelihood, paths, simulation) are imported by the subcommands
+that use them.
 """
 
 from __future__ import annotations
@@ -14,16 +18,12 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
-
-import numpy as np
 
 from . import panel_io
 from .estimator import NoRiskTimeError, SufficientStats, estimate, theta_hat
-from .likelihood import grid_argmax
 from .model import LatentUnit, StudyDesign, TruncationDist
-from .paths import PATH_COLUMNS, build_paths
-from .simulation import SimConfig, run_study
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -66,9 +66,11 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, bool):  # a bool is an Integral too; keep true/false
+        return obj
+    if isinstance(obj, numbers.Integral):  # int and numpy integers
         return int(obj)
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, numbers.Real):  # float and numpy floats
         return _round12(float(obj))
     return obj
 
@@ -98,11 +100,11 @@ def _parse_tdist(value: str, G: int) -> TruncationDist:
     if value == "uniform":
         return TruncationDist.uniform(G)
     try:
-        pmf = np.array([float(p) for p in value.split(",")])
+        pmf = [float(p) for p in value.split(",")]
     except ValueError:
         raise ValueError(f"--tdist must be 'uniform' or a comma-separated pmf, got {value!r}")
-    if pmf.size != G:
-        raise ValueError(f"--tdist pmf has {pmf.size} entries, expected G={G}")
+    if len(pmf) != G:
+        raise ValueError(f"--tdist pmf has {len(pmf)} entries, expected G={G}")
     return TruncationDist(pmf)
 
 
@@ -173,6 +175,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import SimConfig, run_study
+
     _require(args, ["study", "theta0", "s", "G", "K", "seed"])
     design = StudyDesign(s=args.s, G=args.G)
     tdist = _parse_tdist(args.tdist, args.G)
@@ -214,6 +218,8 @@ def cmd_simulate(args) -> int:
 
 
 def _random_check_stats(seed: int, count: int, s: int) -> list[SufficientStats]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
@@ -233,6 +239,8 @@ def _random_check_stats(seed: int, count: int, s: int) -> list[SufficientStats]:
 
 
 def cmd_check(args) -> int:
+    from .likelihood import grid_argmax
+
     _require(args, ["s"])
     if args.input is not None:
         _require(args, ["G"])
@@ -275,6 +283,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .paths import PATH_COLUMNS, build_paths
+
     _require(args, ["x", "t", "s", "G", "theta"])
     design = StudyDesign(s=args.s, G=args.G)
     bundle = build_paths(LatentUnit(x=args.x, t=args.t), design, args.theta)
@@ -360,6 +370,20 @@ def _find_config_path(argv: list[str]) -> str | None:
     return None
 
 
+def _config_value(key: str, value, action: argparse.Action):
+    """A ``--config`` value read as the command line reads its flag: same type, same choices."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"--config key {key!r}: expected a string or a number, got {json.dumps(value)}")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        converted = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ValueError(f"--config key {key!r}: invalid {action.type.__name__} value {text!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"--config key {key!r}: {text!r} is not one of {', '.join(action.choices)}")
+    return converted
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     path = _find_config_path(argv)
     if path is None:
@@ -368,15 +392,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
-    cleaned = {key.replace("-", "_"): value for key, value in overrides.items()}
+    by_dest = {key.replace("-", "_"): (key, value) for key, value in overrides.items()}
     subparsers = [sub for action in parser._subparsers._group_actions for sub in action.choices.values()]
     known = {a.dest for sub in subparsers for a in sub._actions if a.dest != "help"}
-    unknown = [key for key in overrides if key.replace("-", "_") not in known]
+    unknown = [key for dest, (key, _) in by_dest.items() if dest not in known]
     if unknown:
         raise ValueError(f"--config file has unknown key(s): {', '.join(map(repr, unknown))}")
     # Defaults lose to explicit flags, which is exactly the precedence wanted.
     for sub in subparsers:
-        sub.set_defaults(**cleaned)
+        sub.set_defaults(**{
+            action.dest: _config_value(*by_dest[action.dest], action)
+            for action in sub._actions
+            if action.dest in by_dest
+        })
 
 
 _BUILTIN_DEFAULTS = {"level": 0.95, "output_format": "json"}

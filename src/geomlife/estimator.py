@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from .model import ObservedUnit, StudyDesign, check_theta, life_expectancy
 
@@ -136,9 +135,12 @@ def var_hat(stats: SufficientStats, theta: float) -> float:
     return theta * (1.0 - theta) / R
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def normal_quantile(p: float) -> float:
-    """Standard-normal quantile (scipy, accurate to machine precision)."""
-    return float(norm.ppf(p))
+    """Standard-normal quantile (Wichura's AS241, accurate to machine precision)."""
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def wald_ci(theta: float, se: float, level: float) -> tuple[float, float]:

@@ -8,14 +8,19 @@ distribution.  The unit enters the panel only if it is still alive when
 observation starts (``x >= t + 1``); otherwise it is left-truncated and
 leaves no record at all.  Units alive after the ``s``-year window are
 right-censored.
+
+numpy is imported inside the functions that build arrays, so the scalar
+half of this module (designs, units, ``observe``) costs no numpy import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default half-width trimmed off the parameter space [eps, 1 - eps].
 THETA_EPS = 1e-6
@@ -60,6 +65,8 @@ class TruncationDist:
     pmf: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "pmf", pmf)
         if pmf.ndim != 1 or pmf.size < 1:
@@ -78,13 +85,13 @@ class TruncationDist:
     def uniform(cls, G: int) -> "TruncationDist":
         if G < 1:
             raise ValueError("G must be >= 1")
-        return cls(np.full(G, 1.0 / G))
+        return cls([1.0 / G] * G)
 
     @classmethod
     def point_mass(cls, t: int, G: int) -> "TruncationDist":
         if not 0 <= t <= G - 1:
             raise ValueError(f"point mass at {t} outside support 0..{G - 1}")
-        pmf = np.zeros(G)
+        pmf = [0.0] * G
         pmf[t] = 1.0
         return cls(pmf)
 
@@ -119,6 +126,8 @@ class ObservedUnit:
 
 def geom_pmf(theta: float, x) -> float:
     """P(X = x) = theta * (1 - theta)^(x-1) for integer lifespans x >= 1."""
+    import numpy as np
+
     check_theta(theta)
     x = np.asarray(x)
     if np.any(x < 1):
@@ -129,6 +138,8 @@ def geom_pmf(theta: float, x) -> float:
 
 def geom_survival(theta: float, x) -> float:
     """P(X >= x+1) = (1 - theta)^x for integer ages x >= 0."""
+    import numpy as np
+
     check_theta(theta)
     x = np.asarray(x)
     if np.any(x < 0):
@@ -157,6 +168,8 @@ def sample_units(
     applied to one block of uniforms, truncation ages from a second block,
     so a single rng stream yields a reproducible sample of any size.
     """
+    import numpy as np
+
     check_theta(theta, eps=THETA_EPS)
     if n < 0:
         raise ValueError("sample size must be >= 0")
@@ -192,11 +205,15 @@ def observe_arrays(x: np.ndarray, t: np.ndarray, design: StudyDesign) -> np.ndar
     an uncensored one and ``s + 1`` for a censored one, so that element
     by element it encodes what observe() returns.
     """
+    import numpy as np
+
     return np.clip(x - t, 0, design.s + 1)
 
 
 def observation_probability(theta: float, tdist: TruncationDist) -> float:
     """P(unit enters the panel) = sum_t pmf(t) * (1 - theta)^t."""
+    import numpy as np
+
     check_theta(theta)
     ages = np.arange(tdist.G)
     return float(np.dot(tdist.pmf, (1.0 - theta) ** ages))

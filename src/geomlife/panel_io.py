@@ -78,10 +78,16 @@ class AggregateTable:
 
 
 def _csv_rows(stream: io.TextIOBase):
-    """The rows of ``csv.reader``; a csv-level error becomes a PanelFormatError."""
+    """``(line, row)`` for each row of ``csv.reader``.
+
+    ``line`` is the physical line the row ends on, which differs from the
+    row count after a quoted cell spanning lines.  A csv-level error
+    becomes a PanelFormatError.
+    """
     reader = csv.reader(stream)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
 
@@ -90,7 +96,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     """Parse and validate a long-format aggregate CSV."""
     reader = _csv_rows(stream)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise PanelFormatError("empty input; expected header cohort,outcome,count")
     if [h.strip() for h in header] != AGGREGATE_HEADER:
@@ -98,7 +104,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
 
     counts: dict = {}
     marginal = None  # kind of the first data row; every later row must match
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 3:
@@ -195,14 +201,14 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
     """
     reader = _csv_rows(stream)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise PanelFormatError("empty input; expected header t,d,censored")
     if [h.strip() for h in header] != UNITS_HEADER:
         raise PanelFormatError(f"expected header {','.join(UNITS_HEADER)}, got {','.join(header)}", line=1)
 
     units = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         parsed = _unit_row(row, s, G, lineno)
         if parsed is not None:
             units.append(ObservedUnit(*parsed))

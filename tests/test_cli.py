@@ -2,9 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from geomlife.cli import main
+from geomlife.cli import _json_ready, main
 
 from helpers import table1_csv, table3_csv
 
@@ -366,3 +367,38 @@ class TestConfigFile:
         code, _, err = run(capsys, "estimate", "--config", "/nonexistent.json")
         assert code == 1
         assert "error" in err
+
+    def test_config_value_read_as_flag_type(self, capsys, table1_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": "2", "G": 5, "level": 1, "format": "aggregate"}))
+        code, out, _ = run(capsys, "estimate", "--config", str(cfg), "--input", str(table1_path),
+                           "--level", "0.95")
+        assert code == 0
+        assert json.loads(out)["risk_time"] == 2727516
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"s": 2.5, "G": 5}, "--config key 's': invalid int value '2.5'"),
+            ({"s": True, "G": 5}, "--config key 's': expected a string or a number, got true"),
+            ({"s": 2, "G": None}, "--config key 'G': expected a string or a number, got null"),
+            ({"s": 2, "G": [5]}, "--config key 'G': expected a string or a number, got [5]"),
+            ({"s": 2, "G": 5, "level": "high"}, "--config key 'level': invalid float value 'high'"),
+            ({"s": 2, "G": 5, "format": "xml"}, "--config key 'format': 'xml' is not one of aggregate, units"),
+            ({"s": 2, "G": 5, "output-format": "yaml"}, "--config key 'output-format': 'yaml' is not one of json, csv"),
+            ({"s": 2, "G": 5, "K": 1.5}, "--config key 'K': invalid int value '1.5'"),
+        ],
+    )
+    def test_config_value_rejected_like_flag(self, capsys, table1_path, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "estimate", "--config", str(cfg), "--input", str(table1_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestJsonReady:
+    def test_bools_stay_bools(self):
+        payload = _json_ready({"degenerate": True, "flags": [False], "m": np.int64(3), "x": np.float64(0.1)})
+        assert json.dumps(payload, sort_keys=True) == (
+            '{"degenerate": true, "flags": [false], "m": 3, "x": 0.1}'
+        )

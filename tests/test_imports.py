@@ -1,0 +1,94 @@
+"""Import budget: each subcommand loads only what it uses.
+
+``estimate`` runs on the standard library alone; ``check``, ``paths`` and
+``simulate`` load numpy; nothing loads scipy, which is a test-only
+dependency.  Each case runs a fresh interpreter with ``-X importtime`` and
+reads the modules it imported from stderr.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import geomlife
+
+SRC = Path(geomlife.__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent.parent / "data"
+COMMON = ["--s", "2", "--G", "5"]
+
+
+def imported_modules(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    assert proc.returncode in (0, 2), proc.stderr[-2000:]
+    prefix = "import time:"
+    rows = [line[len(prefix):].split("|") for line in proc.stderr.splitlines() if line.startswith(prefix)]
+    return {row[2].strip() for row in rows[1:]}  # rows[0] is the column header
+
+
+def top_level(modules):
+    return {name.split(".")[0] for name in modules}
+
+
+@pytest.fixture
+def units_file(tmp_path):
+    path = tmp_path / "units.csv"
+    path.write_text("t,d,censored\n0,1,0\n1,,1\n2,2,0\n")
+    return path
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_estimate_needs_neither_numpy_nor_scipy(tmp_path, units_file, output_format):
+    for argv in (
+        ["--input", str(DATA / "table1.csv")],
+        ["--input", str(DATA / "table3.csv")],
+        ["--input", str(units_file), "--format", "units"],
+    ):
+        modules = imported_modules(
+            "-m", "geomlife.cli", "estimate", *argv, *COMMON, "--output-format", output_format, cwd=tmp_path
+        )
+        assert "geomlife.estimator" in modules  # the probe sees the program's imports
+        assert not top_level(modules) & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "geomlife.cli", "check", "--input", str(DATA / "table1.csv"), *COMMON],
+        ["-m", "geomlife.cli", "check", "--random", "3", "--seed", "1", "--s", "2"],
+        ["-m", "geomlife.cli", "paths", "--x", "4", "--t", "3", "--theta", "0.1", *COMMON],
+        ["-m", "geomlife.cli", "simulate", "--study", "clt", "--theta0", "0.1", "--K", "4", "--n", "50",
+         "--seed", "1", *COMMON],
+        ["-c", "import geomlife"],
+        ["-c", "from geomlife import *"],
+    ],
+    ids=["check-input", "check-random", "paths", "simulate", "import", "import-star"],
+)
+def test_no_subcommand_loads_scipy(tmp_path, argv):
+    assert "scipy" not in top_level(imported_modules(*argv, cwd=tmp_path))
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    modules = imported_modules("-c", "import geomlife", cwd=tmp_path)
+    assert "geomlife" in modules
+    assert not {m for m in modules if m.startswith("geomlife.")}
+    assert "numpy" not in top_level(modules)
+
+
+def test_every_public_name_resolves():
+    for name in geomlife.__all__:
+        value = getattr(geomlife, name)
+        assert value.__name__ == name
+        assert value.__module__.startswith("geomlife.")
+    assert set(geomlife.__all__) <= set(dir(geomlife))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        geomlife.no_such_name

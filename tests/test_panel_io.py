@@ -257,3 +257,26 @@ class TestLongCells:
     def test_csv_error_becomes_panel_format_error(self, parse, text, line):
         with pytest.raises(PanelFormatError, match=f"^line {line}: field larger than field limit"):
             parse(io.StringIO(text), 2, 5)
+
+
+class TestPhysicalLineNumbers:
+    """After a quoted cell spanning two lines, errors still name the file's line."""
+
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (parse_units, 't,d,censored\n"1\n",1,0\n9,1,0\n', "line 4: t 9 outside 0..4"),
+            (parse_aggregate, 'cohort,outcome,count\n"1\n",1,5\n9,1,5\n', "line 4: cohort 9 outside 0..4"),
+        ],
+    )
+    def test_error_after_multiline_cell(self, parse, text, message):
+        with pytest.raises(PanelFormatError) as err:
+            parse(io.StringIO(text), 2, 5)
+        assert str(err.value) == message
+        assert err.value.line == 4
+
+    def test_count_units_falls_back_with_the_same_line(self, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text('t,d,censored\n"1\n",1,0\n0,1,0\n0,1,0\n9,1,0\n')
+        with pytest.raises(PanelFormatError, match="^line 6: t 9"):
+            count_units(path, 2, 5)

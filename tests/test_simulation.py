@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from geomlife.estimator import sufficient_stats
 from geomlife.model import LatentUnit, StudyDesign, TruncationDist, geom_pmf, observe, sample_units
@@ -11,10 +12,12 @@ from geomlife.simulation import (
     _replicate_rng,
     asymptotic_variance,
     expected_risk_profile,
+    ks_normal,
     martingale_diagnostics,
     replicate_stats,
     run_replicate,
     run_study,
+    skew_kurtosis,
 )
 
 DESIGN = StudyDesign(s=2, G=5)
@@ -194,6 +197,32 @@ class TestStudies:
         assert np.array_equal(serial.theta_hats, parallel.theta_hats)
         assert serial.to_row() == parallel.to_row()
         assert np.array_equal(serial.theta_hats, run_study(c, workers=1).theta_hats)
+
+
+def _shape_samples():
+    rng = np.random.default_rng(2024)
+    yield rng.standard_normal(1000)
+    yield rng.standard_normal(2)
+    yield 3.0 * rng.exponential(size=517) - 1.0
+    yield rng.standard_t(4, size=200)
+    yield np.round(rng.standard_normal(300), 1)  # ties
+    yield run_study(config(n=1000, K=200, seed=5)).standardized
+
+
+class TestShapeStatistics:
+    """The stdlib/numpy CLT-shape statistics against scipy.stats."""
+
+    @pytest.mark.parametrize("sample", list(_shape_samples()), ids=lambda a: f"size{a.size}")
+    def test_match_scipy(self, sample):
+        assert ks_normal(sample) == pytest.approx(sps.kstest(sample, "norm").statistic, rel=1e-12)
+        skewness, kurtosis = skew_kurtosis(sample)
+        assert skewness == pytest.approx(sps.skew(sample), rel=1e-12, abs=1e-12)
+        assert kurtosis == pytest.approx(sps.kurtosis(sample), rel=1e-12, abs=1e-12)
+
+    def test_study_report_uses_them(self):
+        report = run_study(config(n=2000, K=50, seed=8))
+        assert report.ks_distance == ks_normal(report.standardized)
+        assert (report.skewness, report.excess_kurtosis) == skew_kurtosis(report.standardized)
 
 
 class TestMartingaleDiagnostics:
