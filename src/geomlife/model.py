@@ -71,6 +71,8 @@ class TruncationDist:
         object.__setattr__(self, "pmf", pmf)
         if pmf.ndim != 1 or pmf.size < 1:
             raise ValueError("truncation pmf must be a non-empty 1-d vector")
+        if not np.all(np.isfinite(pmf)):  # NaN passes both checks below
+            raise ValueError(f"truncation pmf entries must be finite, got {pmf.tolist()!r}")
         if np.any(pmf < 0.0):
             raise ValueError("truncation pmf entries must be nonnegative")
         if abs(pmf.sum() - 1.0) > 1e-12:
@@ -217,3 +219,30 @@ def observation_probability(theta: float, tdist: TruncationDist) -> float:
     check_theta(theta)
     ages = np.arange(tdist.G)
     return float(np.dot(tdist.pmf, (1.0 - theta) ** ages))
+
+
+def cell_probabilities(theta: float, design: StudyDesign, tdist: TruncationDist) -> np.ndarray:
+    """Probabilities of the (cohort x outcome) cells of one latent unit.
+
+    Row ``t`` is cohort ``t``; its columns follow the outcome codes of
+    :func:`observe_arrays`: truncated, failure in window year d = 1..s,
+    censored.  With ``q = 1 - theta``:
+
+        truncated   pmf(t) * (1 - q^t)
+        fail in d   pmf(t) * theta * q^(t+d-1)
+        censored    pmf(t) * q^(t+s)
+
+    Each cell has its own closed form, none is "one minus the rest", so a
+    cell that cannot occur (truncation at age 0) is exactly 0.  The table of
+    n independent units is multinomial(n, cells).
+    """
+    import numpy as np
+
+    check_theta(theta)
+    if tdist.G != design.G:
+        raise ValueError(f"truncation pmf has {tdist.G} entries but design has G={design.G}")
+    q = 1.0 - theta
+    t = np.arange(design.G)[:, None]
+    d = np.arange(1, design.s + 1)
+    given_cohort = [1.0 - q**t, theta * q ** (t + d - 1), q ** (t + design.s)]
+    return tdist.pmf[:, None] * np.concatenate(given_cohort, axis=1)

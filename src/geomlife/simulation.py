@@ -1,13 +1,17 @@
 """Monte Carlo engine: consistency (MSE), CI coverage, CLT shape checks.
 
-Each replicate is tabulated into the same (cohort x outcome) count table
-the panel parsers produce, and reduced by the same code.  Replicates are
-independent: replicate ``k`` draws its rng from
-``SeedSequence(seed, spawn_key=(k,))``, so results are bit-identical
-whatever the execution order or degree of parallelism.  Degenerate
-replicates (no observed units or no observed failures) enter the MSE with
-theta_hat = 0 but are excluded from coverage denominators; their count is
-reported.
+Under the model the (cohort x outcome) count table of n independent
+latent units is exactly multinomial, so each replicate is one multinomial
+draw over the cells of :func:`model.cell_probabilities`, reduced by the
+same code as the panel parsers' tables.  The per-unit sampler
+(``model.sample_units`` and ``observe_arrays``) stays as the oracle the
+tests compare this draw against, and feeds
+:func:`martingale_diagnostics`.  Replicates are independent: replicate
+``k`` draws its rng from ``SeedSequence(seed, spawn_key=(k,))``, so
+results are bit-identical whatever the execution order or degree of
+parallelism.  Degenerate replicates (no observed units or no observed
+failures) enter the MSE with theta_hat = 0 but are excluded from coverage
+denominators; their count is reported.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import EstimateResult, SufficientStats, estimate
-from .model import THETA_EPS, StudyDesign, TruncationDist, check_theta, observe_arrays, sample_units
+from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta, sample_units
 from .panel_io import AggregateTable, to_sufficient_stats
 from .paths import dn_tc_indicator, y_tc_prev_indicator
 
@@ -48,6 +52,9 @@ class SimConfig:
             raise ValueError(
                 f"truncation pmf has {self.tdist.G} entries but design has G={self.design.G}"
             )
+        # one set of cell probabilities serves every replicate of the study
+        cells = cell_probabilities(self.theta0, self.design, self.tdist)
+        object.__setattr__(self, "_cells", cells.ravel())
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,21 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate_index,)))
 
 
-def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
-    """Draw one latent sample, observe it, and reduce its count table."""
+def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
+    """Cell counts of one replicate's n latent units, shape (G, s + 2).
+
+    One multinomial draw over the cells of :func:`model.cell_probabilities`:
+    row t is cohort t, columns are truncated, failure in year 1..s, censored.
+    """
     rng = _replicate_rng(config.seed, replicate_index)
-    x, t = sample_units(config.theta0, config.tdist, config.n, rng)
     s, G = config.design.s, config.design.G
-    codes = observe_arrays(x, t, config.design)
-    cells = np.bincount(t * (s + 2) + codes, minlength=G * (s + 2)).reshape(G, s + 2)
+    return rng.multinomial(config.n, config._cells).reshape(G, s + 2)
+
+
+def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
+    """Draw one replicate's count table and reduce it like a parsed panel."""
+    s, G = config.design.s, config.design.G
+    cells = replicate_table(config, replicate_index)
     # column 0 holds the truncated units, which the panel never records
     table = AggregateTable.from_wide(dict(enumerate(cells[:, 1:].tolist())), s=s, G=G)
     return to_sufficient_stats(table)
@@ -252,7 +267,9 @@ def martingale_diagnostics(config: SimConfig) -> dict:
 
     For each age x: the mean of dm_tc(x) across units with its Monte Carlo
     standard error, the count at risk, and the event frequency among units
-    at risk.  Uses replicate index 0 of the config's seed.
+    at risk.  Draws n latent units with the per-unit sampler from the rng
+    of replicate index 0; replicates are drawn at count level, so this
+    sample is not replicate 0's table.
     """
     rng = _replicate_rng(config.seed, 0)
     x, t = sample_units(config.theta0, config.tdist, config.n, rng)

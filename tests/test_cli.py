@@ -264,6 +264,22 @@ class TestSimulate:
         assert code == 1
         assert "sum to 1" in err
 
+    def test_nan_tdist_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--study", "coverage",
+            "--theta0", "0.1",
+            "--s", "2",
+            "--G", "3",
+            "--K", "20",
+            "--n", "500",
+            "--seed", "1",
+            "--tdist", "nan,0.5,0.5",
+        )
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
 
 class TestCheck:
     def test_random_cases(self, capsys):

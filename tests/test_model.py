@@ -5,10 +5,12 @@ import pytest
 from scipy.stats import chisquare
 
 from geomlife.model import (
+    THETA_EPS,
     LatentUnit,
     ObservedUnit,
     StudyDesign,
     TruncationDist,
+    cell_probabilities,
     geom_pmf,
     geom_survival,
     life_expectancy,
@@ -176,6 +178,62 @@ class TestObserve:
         assert abs(observed.mean() - p) < 3 * se
 
 
+CELL_CASES = [
+    (0.1, StudyDesign(s=2, G=5), TruncationDist.uniform(5)),
+    (0.3, StudyDesign(s=4, G=7), TruncationDist.uniform(7)),
+    (0.05, StudyDesign(s=3, G=4), TruncationDist([0.1, 0.2, 0.3, 0.4])),
+    (0.9, StudyDesign(s=2, G=40), TruncationDist.point_mass(39, 40)),
+    (0.5, StudyDesign(s=1, G=1), TruncationDist.uniform(1)),
+    (THETA_EPS, StudyDesign(s=7, G=5), TruncationDist.uniform(5)),
+    (1.0 - THETA_EPS, StudyDesign(s=7, G=5), TruncationDist.uniform(5)),
+]
+
+
+class TestCellProbabilities:
+    """Closed-form checks of the (cohort x outcome) cell probabilities."""
+
+    @pytest.mark.parametrize("theta,design,tdist", CELL_CASES)
+    def test_cells_sum_to_one(self, theta, design, tdist):
+        cells = cell_probabilities(theta, design, tdist)
+        assert cells.shape == (design.G, design.s + 2)
+        assert abs(cells.sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("theta,design,tdist", CELL_CASES)
+    def test_observed_mass_is_observation_probability(self, theta, design, tdist):
+        observed = cell_probabilities(theta, design, tdist)[:, 1:].sum()
+        assert observed == pytest.approx(observation_probability(theta, tdist), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [THETA_EPS, 0.1, 0.5, 1.0 - THETA_EPS])
+    def test_no_truncation_at_age_zero(self, theta):
+        assert cell_probabilities(theta, StudyDesign(s=2, G=5), TruncationDist.uniform(5))[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "theta,design,tdist",
+        [
+            (THETA_EPS, StudyDesign(s=3, G=6), TruncationDist.uniform(6)),
+            (1.0 - THETA_EPS, StudyDesign(s=3, G=6), TruncationDist.uniform(6)),
+            (THETA_EPS, StudyDesign(s=2, G=40), TruncationDist.point_mass(39, 40)),
+            (0.9, StudyDesign(s=2, G=40), TruncationDist.point_mass(39, 40)),
+            (1.0 - THETA_EPS, StudyDesign(s=2, G=40), TruncationDist.point_mass(39, 40)),
+        ],
+    )
+    def test_nonnegative_at_extremes(self, theta, design, tdist):
+        assert (cell_probabilities(theta, design, tdist) >= 0.0).all()
+
+    @pytest.mark.parametrize("theta,design,tdist", CELL_CASES)
+    def test_expected_risk_time(self, theta, design, tdist):
+        from geomlife.simulation import expected_risk_profile
+
+        cells = cell_probabilities(theta, design, tdist)
+        d = np.arange(1, design.s + 1)
+        risk_time = (cells[:, 1:-1] * d).sum() + design.s * cells[:, -1].sum()
+        assert risk_time == pytest.approx(expected_risk_profile(theta, design, tdist).sum(), abs=1e-12)
+
+    def test_design_must_match_pmf(self):
+        with pytest.raises(ValueError, match="G="):
+            cell_probabilities(0.1, StudyDesign(s=2, G=5), TruncationDist.uniform(4))
+
+
 class TestTypes:
     def test_design_defaults_horizon(self):
         assert StudyDesign(s=2, G=5).horizon == 6
@@ -193,6 +251,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             TruncationDist(np.array([-0.1, 1.1]))
         assert TruncationDist.uniform(5).G == 5
+
+    @pytest.mark.parametrize("pmf", [[math.nan, 0.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [math.nan]])
+    def test_truncation_dist_rejects_non_finite(self, pmf):
+        # NaN compares False both to 0 and in |sum - 1| > tol, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            TruncationDist(np.array(pmf))
 
     def test_latent_unit_validation(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,28 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.stats import chi2_contingency, chisquare
 
-from geomlife.estimator import sufficient_stats
-from geomlife.model import LatentUnit, StudyDesign, TruncationDist, geom_pmf, observe, sample_units
+from geomlife.model import (
+    StudyDesign,
+    TruncationDist,
+    cell_probabilities,
+    geom_pmf,
+    observe_arrays,
+    sample_units,
+)
 from geomlife.simulation import (
     SimConfig,
-    _replicate_rng,
     asymptotic_variance,
     expected_risk_profile,
     ks_normal,
     martingale_diagnostics,
     replicate_stats,
+    replicate_table,
     run_replicate,
     run_study,
     skew_kurtosis,
@@ -105,14 +113,43 @@ class TestRunReplicate:
         assert run_replicate(c, 0) is None
 
 
-def per_unit_stats(c, k):
-    """Oracle for replicate_stats: the same draw observed unit by unit."""
-    x, t = sample_units(c.theta0, c.tdist, c.n, _replicate_rng(c.seed, k))
-    units = [observe(LatentUnit(x=int(xi), t=int(ti)), c.design) for xi, ti in zip(x, t)]
-    return sufficient_stats([u for u in units if u is not None], c.design)
+def per_unit_table(c, rng):
+    """Oracle for replicate_table: n latent units sampled and observed one by one."""
+    x, t = sample_units(c.theta0, c.tdist, c.n, rng)
+    codes = observe_arrays(x, t, c.design)
+    width = c.design.s + 2
+    return np.bincount(t * width + codes, minlength=c.design.G * width).reshape(c.design.G, width)
+
+
+def merge_small_cells(expected, *observed, min_expected=5.0):
+    """Pool the cells whose expected count is below ``min_expected``.
+
+    The pooled cell joins the smallest remaining cell if it is still below
+    the threshold.  Returns the merged expected and observed vectors.
+    """
+    rows = np.vstack([expected.ravel()] + [o.ravel() for o in observed]).astype(float)
+    small = rows[0] < min_expected
+    merged = rows[:, ~small]
+    if small.any():
+        pooled = rows[:, small].sum(axis=1)
+        if pooled[0] >= min_expected or not merged.size:
+            merged = np.column_stack([merged, pooled])
+        else:
+            merged[:, np.argmin(merged[0])] += pooled
+    return merged
+
+
+def variance_se(x):
+    """Monte Carlo se of the sample variance: sqrt((mu4 - sigma^4) / K)."""
+    dev = x - x.mean()
+    return math.sqrt(((dev**4).mean() - (dev**2).mean() ** 2) / x.size)
 
 
 class TestReplicateStats:
+    """The count-level draw against the per-unit sampler, in distribution."""
+
+    K = 1000
+
     @pytest.mark.parametrize(
         "theta0,s,G,tdist,n",
         [
@@ -125,9 +162,43 @@ class TestReplicateStats:
         ],
     )
     def test_matches_per_unit_observation(self, theta0, s, G, tdist, n):
-        c = config(n=n, K=3, seed=8, theta0=theta0, design=StudyDesign(s=s, G=G), tdist=tdist)
-        for k in range(3):
-            assert replicate_stats(c, k) == per_unit_stats(c, k)
+        design = StudyDesign(s=s, G=G)
+        c = config(n=n, K=self.K, seed=8, theta0=theta0, design=design, tdist=tdist)
+        rng = np.random.default_rng(808)
+        counted = sum(replicate_table(c, k) for k in range(self.K))
+        per_unit = sum(per_unit_table(c, rng) for _ in range(self.K))
+        expected = n * self.K * cell_probabilities(theta0, design, tdist)
+        assert counted.sum() == per_unit.sum() == n * self.K
+        assert not counted[expected == 0].any() and not per_unit[expected == 0].any()
+
+        expected, counted, per_unit = merge_small_cells(expected, counted, per_unit)
+        if expected.size < 2:  # every unit lands in one cell; nothing left to test
+            return
+        assert chisquare(counted, expected).pvalue > 1e-3
+        assert chisquare(per_unit, expected).pvalue > 1e-3
+        assert chi2_contingency(np.vstack([counted, per_unit])).pvalue > 1e-3
+
+    def test_moments_match_per_unit_sampler(self):
+        n, K = 1000, 4000
+        c = config(n=n, K=K, seed=14)
+        counted = np.array([(st.m_uncens, st.m_cens) for st in map(partial(replicate_stats, c), range(K))])
+        rng = np.random.default_rng(1414)
+        per_unit = np.array([
+            (table[:, 1:-1].sum(), table[:, -1].sum())
+            for table in (per_unit_table(c, rng) for _ in range(K))
+        ])
+        for a, b in zip(counted.T, per_unit.T):  # m_uncens, then m_cens
+            mean_se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / K)
+            assert abs(a.mean() - b.mean()) <= 4 * mean_se
+            var_se = math.hypot(variance_se(a), variance_se(b))
+            assert abs(a.var(ddof=1) - b.var(ddof=1)) <= 4 * var_se
+
+    def test_reduces_replicate_table(self):
+        c = config(n=500, K=1, seed=3)
+        cells = replicate_table(c, 0)
+        st = replicate_stats(c, 0)
+        assert st.m_uncens == cells[:, 1:-1].sum() and st.m_cens == cells[:, -1].sum()
+        assert st.duration_sum == int((cells[:, 1:-1] * np.arange(1, DESIGN.s + 1)).sum())
 
 
 class TestStudies:
