@@ -183,7 +183,10 @@ def cmd_simulate(args) -> int:
 
     if args.study == "mse":
         if args.n_list:
-            n_list = [int(n) for n in args.n_list.split(",")]
+            try:
+                n_list = [int(n) for n in args.n_list.split(",")]
+            except ValueError:
+                raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
         elif args.n is not None:
             n_list = [args.n]
         else:
@@ -203,7 +206,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             level=args.level,
         )
-        report = run_study(config, workers=args.workers)
+        report = run_study(config)
         rows.append(report.to_row())
         sys.stderr.write(
             f"n={n} K={args.K}: mse={report.mse:.6g} coverage={report.coverage:.4f} "
@@ -247,6 +250,11 @@ def cmd_check(args) -> int:
         cases = [_load_stats(args)]
     elif args.random is not None:
         _require(args, ["seed"])
+        for flag, value in (("--random", args.random), ("--s", args.s)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         cases = _random_check_stats(args.seed, args.random, args.s)
     else:
         raise ValueError("check needs --input or --random")
@@ -338,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--level", type=float, default=None)
     p_sim.add_argument("--tdist", default="uniform", help="'uniform' or comma-separated pmf")
-    p_sim.add_argument("--workers", type=int, default=None, help="parallel replicate workers")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_chk = sub.add_parser("check", help="closed-form estimate vs numerical argmax oracle")

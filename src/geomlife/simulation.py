@@ -8,17 +8,16 @@ same code as the panel parsers' tables.  The per-unit sampler
 tests compare this draw against, and feeds
 :func:`martingale_diagnostics`.  Replicates are independent: replicate
 ``k`` draws its rng from ``SeedSequence(seed, spawn_key=(k,))``, so
-results are bit-identical whatever the execution order or degree of
-parallelism.  Degenerate replicates (no observed units or no observed
-failures) enter the MSE with theta_hat = 0 but are excluded from coverage
-denominators; their count is reported.
+results are bit-identical whatever the execution order.  Replicates run
+in one serial loop.  Degenerate replicates (no observed units or no
+observed failures) enter the MSE with theta_hat = 0 but are excluded from
+coverage denominators; their count is reported.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,6 @@ from .estimator import EstimateResult, SufficientStats, estimate
 from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta, sample_units
 from .panel_io import AggregateTable, to_sufficient_stats
 from .paths import dn_tc_indicator, y_tc_prev_indicator
-
-#: Environment variable giving the default worker-process count.
-WORKERS_ENV_VAR = "GEOMLIFE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -46,6 +42,8 @@ class SimConfig:
         check_theta(self.theta0, eps=THETA_EPS)  # the range sample_units accepts
         if self.n < 1 or self.n_replicates < 1:
             raise ValueError("n and n_replicates must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.tdist.G != self.design.G:
@@ -161,41 +159,6 @@ def run_replicate(config: SimConfig, replicate_index: int) -> EstimateResult | N
     return estimate(stats, config.level)
 
 
-def _replicate_row(args) -> tuple[int, float, float, float, bool]:
-    config, k = args
-    result = run_replicate(config, k)
-    if result is None:
-        return k, 0.0, 0.0, 0.0, True
-    return k, result.theta_hat, result.ci[0], result.ci[1], result.degenerate
-
-
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {value!r}")
-    return workers
-
-
-def _collect_replicates(config: SimConfig, workers: int) -> np.ndarray:
-    """(K, 4) array of [theta_hat, ci_lo, ci_hi, degenerate] in replicate order."""
-    jobs = [(config, k) for k in range(config.n_replicates)]
-    out = np.empty((config.n_replicates, 4))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(_replicate_row, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
-            for k, th, lo, hi, degen in rows:
-                out[k] = (th, lo, hi, degen)
-    else:
-        for job in jobs:
-            k, th, lo, hi, degen = _replicate_row(job)
-            out[k] = (th, lo, hi, degen)
-    return out
-
-
 def ks_normal(sample: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between the sample's ECDF and N(0, 1)."""
     x = np.sort(sample)
@@ -214,14 +177,17 @@ def skew_kurtosis(sample: np.ndarray) -> tuple[float, float]:
     return m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
-def run_study(config: SimConfig, workers: int | None = None) -> StudyReport:
-    """Run all replicates and summarize MSE, coverage, and CLT shape."""
-    workers = default_workers() if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    rows = _collect_replicates(config, workers)
-    theta_hats, ci_lo, ci_hi = rows[:, 0], rows[:, 1], rows[:, 2]
-    degenerate = rows[:, 3].astype(bool)
+def run_study(config: SimConfig) -> StudyReport:
+    """Run all replicates in order and summarize MSE, coverage, and CLT shape."""
+    K = config.n_replicates
+    theta_hats, ci_lo, ci_hi = np.zeros(K), np.zeros(K), np.zeros(K)
+    degenerate = np.ones(K, dtype=bool)  # a replicate with nothing observed stays 0, [0, 0]
+    for k in range(K):
+        result = run_replicate(config, k)
+        if result is not None:
+            theta_hats[k] = result.theta_hat
+            ci_lo[k], ci_hi[k] = result.ci
+            degenerate[k] = result.degenerate
 
     errors = theta_hats - config.theta0
     mse = float(np.mean(errors**2))

@@ -225,14 +225,14 @@ class TestSimulate:
         assert json.loads(out)[0]["theta0"] == 0.2
 
     @pytest.mark.parametrize(
-        "flag,fragment",
+        "flags,message",
         [
-            (["--workers", "0"], "workers must be >= 1"),
-            (["--workers", "-2"], "workers must be >= 1"),
-            (["--level", "1.5"], "confidence level"),
+            (["--level", "1.5"], "confidence level must be in (0, 1), got 1.5"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
         ],
+        ids=["level", "seed"],
     )
-    def test_bad_worker_count_or_level(self, capsys, flag, fragment):
+    def test_bad_level_or_seed(self, capsys, flags, message):
         code, out, err = run(
             capsys,
             "simulate",
@@ -243,10 +243,42 @@ class TestSimulate:
             "--K", "2",
             "--n", "50",
             "--seed", "1",
-            *flag,
+            *flags,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n_list", ["100,,200", "1e3"])
+    def test_bad_n_list_names_the_flag(self, capsys, n_list):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--study", "mse",
+            "--theta0", "0.1",
+            "--s", "2",
+            "--G", "5",
+            "--K", "2",
+            "--n-list", n_list,
+            "--seed", "1",
         )
         assert (code, out) == (1, "")
-        assert fragment in err
+        assert err == f"error: --n-list must be comma-separated integers, got {n_list!r}\n"
+
+    def test_workers_config_key_is_unknown(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--config", str(cfg),
+            "--study", "coverage",
+            "--theta0", "0.1",
+            "--s", "2",
+            "--G", "5",
+            "--K", "2",
+            "--n", "50",
+            "--seed", "1",
+        )
+        assert (code, out, err) == (1, "", "error: --config file has unknown key(s): 'workers'\n")
 
     def test_invalid_tdist(self, capsys):
         code, _, err = run(
@@ -295,6 +327,20 @@ class TestCheck:
         )
         assert code == 0
         assert json.loads(out)[0]["abs_diff"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--random", "0", "--seed", "1", "--s", "2"], "--random must be >= 1, got 0"),
+            (["--random", "-1", "--seed", "1", "--s", "2"], "--random must be >= 1, got -1"),
+            (["--random", "3", "--seed", "1", "--s", "0"], "--s must be >= 1, got 0"),
+            (["--random", "2", "--seed", "-4", "--s", "2"], "--seed must be an integer >= 0, got -4"),
+        ],
+        ids=["random-zero", "random-negative", "s-zero", "seed-negative"],
+    )
+    def test_bad_random_case_options(self, capsys, flags, message):
+        code, out, err = run(capsys, "check", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_degenerate_stats(self, capsys, tmp_path):
         path = tmp_path / "cens.csv"

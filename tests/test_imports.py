@@ -2,7 +2,7 @@
 
 ``estimate`` runs on the standard library alone; ``check``, ``paths`` and
 ``simulate`` load numpy; nothing loads scipy, which is a test-only
-dependency.  Each case runs a fresh interpreter with ``-X importtime`` and
+dependency, and ``simulate`` starts no process pool.  Each case runs a fresh interpreter with ``-X importtime`` and
 reads the modules it imported from stderr.
 """
 
@@ -72,6 +72,14 @@ def test_estimate_needs_neither_numpy_nor_scipy(tmp_path, units_file, output_for
 )
 def test_no_subcommand_loads_scipy(tmp_path, argv):
     assert "scipy" not in top_level(imported_modules(*argv, cwd=tmp_path))
+
+
+def test_simulate_starts_no_process_pool(tmp_path):
+    argv = ["-m", "geomlife.cli", "simulate", "--study", "clt", "--theta0", "0.1", "--K", "4", "--n", "50",
+            "--seed", "1", *COMMON]
+    modules = imported_modules(*argv, cwd=tmp_path)
+    assert "geomlife.simulation" in modules
+    assert not top_level(modules) & {"multiprocessing", "concurrent"}
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

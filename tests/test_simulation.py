@@ -261,13 +261,11 @@ class TestStudies:
         ]
         assert row["n"] == 500 and row["K"] == 20
 
-    def test_seed_and_worker_invariance(self):
+    def test_same_seed_rerun_is_identical(self):
         c = config(n=800, K=24, seed=77)
-        serial = run_study(c, workers=1)
-        parallel = run_study(c, workers=2)
-        assert np.array_equal(serial.theta_hats, parallel.theta_hats)
-        assert serial.to_row() == parallel.to_row()
-        assert np.array_equal(serial.theta_hats, run_study(c, workers=1).theta_hats)
+        first, second = run_study(c), run_study(c)
+        assert np.array_equal(first.theta_hats, second.theta_hats)
+        assert first.to_row() == second.to_row()
 
 
 def _shape_samples():
@@ -315,48 +313,6 @@ class TestMartingaleDiagnostics:
         assert np.all(np.abs(diag["empirical_risk"] - expected) <= 4 * se)
 
 
-class TestWorkerDefaults:
-    def test_env_var_sets_default(self, monkeypatch):
-        from geomlife.simulation import default_workers
-
-        monkeypatch.delenv("GEOMLIFE_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("GEOMLIFE_WORKERS", "3")
-        assert default_workers() == 3
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_env_var_below_one_rejected(self, monkeypatch, value):
-        from geomlife.simulation import default_workers
-
-        monkeypatch.setenv("GEOMLIFE_WORKERS", value)
-        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
-            default_workers()
-        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
-            run_study(config(K=1))
-
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_worker_argument_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_study(config(K=1), workers=workers)
-
-    def test_non_integer_env_var_rejected(self, monkeypatch):
-        from geomlife.simulation import default_workers
-
-        monkeypatch.setenv("GEOMLIFE_WORKERS", "two")
-        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
-            default_workers()
-        with pytest.raises(ValueError, match="GEOMLIFE_WORKERS"):
-            run_study(config(K=1))
-
-    def test_env_worker_count_does_not_change_results(self, monkeypatch):
-        c = config(n=400, K=10, seed=19)
-        monkeypatch.delenv("GEOMLIFE_WORKERS", raising=False)
-        serial = run_study(c)
-        monkeypatch.setenv("GEOMLIFE_WORKERS", "2")
-        via_env = run_study(c)
-        assert np.array_equal(serial.theta_hats, via_env.theta_hats)
-
-
 class TestValidation:
     def test_config_checks(self):
         with pytest.raises(ValueError):
@@ -380,3 +336,8 @@ class TestValidation:
     def test_level_outside_unit_interval_rejected_at_construction(self, level):
         with pytest.raises(ValueError, match="level"):
             config(level=level)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            config(seed=seed)
