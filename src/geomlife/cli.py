@@ -2,9 +2,9 @@
 
 Machine-readable results go to stdout (or ``--output``); human-readable
 summaries and diagnostics go to stderr.  Exit codes: 0 success, 1 input
-error, 2 degenerate statistical result.  Numbers in machine output carry
-12 significant digits.  A JSON file passed via ``--config`` supplies
-defaults for any flag (command-line flags win).
+or usage error, 2 degenerate statistical result.  Numbers in machine
+output carry 12 significant digits.  A JSON file passed via ``--config``
+supplies defaults for any flag (command-line flags win).
 
 ``estimate`` runs on the standard library alone: the modules that need
 numpy (likelihood, paths, simulation) are imported by the subcommands
@@ -147,9 +147,9 @@ def _summarize_estimate(result) -> str:
 
 def _load_stats(args) -> SufficientStats:
     _require(args, ["input", "s", "G"])
+    StudyDesign(s=args.s, G=args.G)  # names a bad --s or --G before any row is read
     if args.format == "units":
         table = panel_io.count_units(args.input, s=args.s, G=args.G)
-        StudyDesign(s=args.s, G=args.G)  # rejects s < 1 or G < 1, after any row error
     else:
         with open(args.input, newline="") as fh:
             table = panel_io.parse_aggregate(fh, s=args.s, G=args.G)
@@ -312,8 +312,19 @@ def cmd_paths(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit ``EXIT_INPUT_ERROR``, not 2.
+
+    Subparsers are built from the parser's own class, so they inherit it.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="geomlife",
         description="Closure-probability estimation from left-truncated, right-censored panels",
     )

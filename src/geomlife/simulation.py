@@ -1,17 +1,17 @@
 """Monte Carlo engine: consistency (MSE), CI coverage, CLT shape checks.
 
 Under the model the (cohort x outcome) count table of n independent
-latent units is exactly multinomial, so each replicate is one multinomial
-draw over the cells of :func:`model.cell_probabilities`, reduced by the
-same code as the panel parsers' tables.  The per-unit sampler
+latent units is exactly multinomial, so a study draws all K replicate
+tables at once, as one ``multinomial(n, cells, size=K)`` over the cells of
+:func:`model.cell_probabilities` from one generator seeded by
+``SeedSequence(seed)`` (RNG stream ``table-multinomial-v1``), and reduces
+them as one integer array.  Same-seed studies are bit-identical; there is
+no per-replicate ``spawn_key`` seeding in a study.  The per-unit sampler
 (``model.sample_units`` and ``observe_arrays``) stays as the oracle the
-tests compare this draw against, and feeds
-:func:`martingale_diagnostics`.  Replicates are independent: replicate
-``k`` draws its rng from ``SeedSequence(seed, spawn_key=(k,))``, so
-results are bit-identical whatever the execution order.  Replicates run
-in one serial loop.  Degenerate replicates (no observed units or no
-observed failures) enter the MSE with theta_hat = 0 but are excluded from
-coverage denominators; their count is reported.
+tests compare this draw against, and feeds :func:`martingale_diagnostics`.
+Degenerate replicates (no observed units or no observed failures) enter
+the MSE with theta_hat = 0 but are excluded from coverage denominators;
+their count is reported.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimateResult, SufficientStats, estimate
+from .estimator import SufficientStats, normal_quantile
 from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta, sample_units
-from .panel_io import AggregateTable, to_sufficient_stats
-from .paths import dn_tc_indicator, y_tc_prev_indicator
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,25 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate_index,)))
 
 
-def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
-    """Cell counts of one replicate's n latent units, shape (G, s + 2).
+def study_tables(config: SimConfig) -> np.ndarray:
+    """Cell counts of all K replicates of a study, shape (K, G, s + 2).
 
-    One multinomial draw over the cells of :func:`model.cell_probabilities`:
-    row t is cohort t, columns are truncated, failure in year 1..s, censored.
+    One multinomial draw of size K over the cells of
+    :func:`model.cell_probabilities`, from the generator of
+    ``SeedSequence(seed)``: in each table row t is cohort t, columns are
+    truncated, failure in year 1..s, censored.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    s, G = config.design.s, config.design.G
+    return rng.multinomial(config.n, config._cells, size=config.n_replicates).reshape(-1, G, s + 2)
+
+
+def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
+    """Cell counts of one table of n latent units, shape (G, s + 2).
+
+    Drawn like one replicate of :func:`study_tables`, but from the generator
+    of ``SeedSequence(seed, spawn_key=(replicate_index,))``, so it is not
+    replicate ``replicate_index`` of a study.
     """
     rng = _replicate_rng(config.seed, replicate_index)
     s, G = config.design.s, config.design.G
@@ -143,7 +155,13 @@ def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
 
 
 def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
-    """Draw one replicate's count table and reduce it like a parsed panel."""
+    """Reduce one :func:`replicate_table` like a parsed panel.
+
+    The one-table bridge to the parsers' :class:`AggregateTable`; studies
+    reduce their tables with :func:`run_replicate` instead.
+    """
+    from .panel_io import AggregateTable, to_sufficient_stats  # imported on use; studies do not need it
+
     s, G = config.design.s, config.design.G
     cells = replicate_table(config, replicate_index)
     # column 0 holds the truncated units, which the panel never records
@@ -151,12 +169,25 @@ def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
     return to_sufficient_stats(table)
 
 
-def run_replicate(config: SimConfig, replicate_index: int) -> EstimateResult | None:
-    """Estimate from one simulated replicate; None if nothing was observed."""
-    stats = replicate_stats(config, replicate_index)
-    if stats.risk_time == 0:
-        return None
-    return estimate(stats, config.level)
+def run_replicate(
+    config: SimConfig, tables: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Estimate from each count table of shape (..., G, s + 2).
+
+    Returns ``theta_hat``, ``ci_lo``, ``ci_hi`` and ``degenerate`` arrays of
+    shape ``...``, element for element equal to :func:`estimator.estimate`
+    on the table's sufficient statistics.  A table with no observed risk
+    time stays 0, [0, 0] and is degenerate.
+    """
+    s = config.design.s
+    pooled = tables.sum(axis=-2)  # over cohorts; column 0 (truncated) is never used
+    m_uncens = pooled[..., 1:-1].sum(axis=-1)
+    risk = pooled[..., 1:-1] @ np.arange(1, s + 1) + s * pooled[..., -1]
+    observed = risk > 0
+    theta = np.divide(m_uncens, risk, out=np.zeros(risk.shape), where=observed)
+    var = np.divide(theta * (1.0 - theta), risk, out=np.zeros(risk.shape), where=observed)
+    half = normal_quantile((1.0 + config.level) / 2.0) * np.sqrt(var)  # z * se, as in wald_ci
+    return theta, np.maximum(0.0, theta - half), np.minimum(1.0, theta + half), m_uncens == 0
 
 
 def ks_normal(sample: np.ndarray) -> float:
@@ -178,16 +209,8 @@ def skew_kurtosis(sample: np.ndarray) -> tuple[float, float]:
 
 
 def run_study(config: SimConfig) -> StudyReport:
-    """Run all replicates in order and summarize MSE, coverage, and CLT shape."""
-    K = config.n_replicates
-    theta_hats, ci_lo, ci_hi = np.zeros(K), np.zeros(K), np.zeros(K)
-    degenerate = np.ones(K, dtype=bool)  # a replicate with nothing observed stays 0, [0, 0]
-    for k in range(K):
-        result = run_replicate(config, k)
-        if result is not None:
-            theta_hats[k] = result.theta_hat
-            ci_lo[k], ci_hi[k] = result.ci
-            degenerate[k] = result.degenerate
+    """Draw and reduce all K replicates; summarize MSE, coverage, and CLT shape."""
+    theta_hats, ci_lo, ci_hi, degenerate = run_replicate(config, study_tables(config))
 
     errors = theta_hats - config.theta0
     mse = float(np.mean(errors**2))
@@ -234,9 +257,11 @@ def martingale_diagnostics(config: SimConfig) -> dict:
     For each age x: the mean of dm_tc(x) across units with its Monte Carlo
     standard error, the count at risk, and the event frequency among units
     at risk.  Draws n latent units with the per-unit sampler from the rng
-    of replicate index 0; replicates are drawn at count level, so this
-    sample is not replicate 0's table.
+    of ``SeedSequence(seed, spawn_key=(0,))``; it is not a table of
+    :func:`run_study`, which draws at count level from ``SeedSequence(seed)``.
     """
+    from .paths import dn_tc_indicator, y_tc_prev_indicator  # imported on use; studies do not need it
+
     rng = _replicate_rng(config.seed, 0)
     x, t = sample_units(config.theta0, config.tdist, config.n, rng)
     horizon = config.design.horizon

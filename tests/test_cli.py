@@ -350,6 +350,58 @@ class TestCheck:
         assert "degenerate" in err
 
 
+class TestDesignFlags:
+    """A bad --s or --G is named before any row of the input is read."""
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "check"])
+    @pytest.mark.parametrize(
+        "s,G,message",
+        [
+            ("0", "5", "window length s must be >= 1, got 0"),
+            ("2", "0", "cohort count G must be >= 1, got 0"),
+        ],
+        ids=["s-zero", "G-zero"],
+    )
+    def test_aggregate_input(self, capsys, table1_path, subcommand, s, G, message):
+        code, out, err = run(capsys, subcommand, "--input", str(table1_path), "--s", s, "--G", G)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_unit_input(self, capsys, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text("t,d,censored\n0,1,0\n")
+        code, out, err = run(capsys, "estimate", "--format", "units", "--input", str(path), "--s", "0", "--G", "5")
+        assert (code, out, err) == (1, "", "error: window length s must be >= 1, got 0\n")
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 (input error), not 2 (degenerate estimate)."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--bogus"], "geomlife: error: unrecognized arguments: --bogus"),
+            (["--s", "two"], "geomlife estimate: error: argument --s: invalid int value: 'two'"),
+            (["--output-format", "xml"], "geomlife estimate: error: argument --output-format: invalid choice: 'xml'"),
+        ],
+        ids=["unknown-flag", "non-integer-s", "bad-choice"],
+    )
+    def test_exit_input_error(self, capsys, table1_path, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(table1_path), "--G", "5", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage: geomlife")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: geomlife")
+
+
 class TestPaths:
     def header_and_rows(self, out):
         lines = out.strip().splitlines()
