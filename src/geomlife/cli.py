@@ -6,9 +6,9 @@ or usage error, 2 degenerate statistical result.  Numbers in machine
 output carry 12 significant digits.  A JSON file passed via ``--config``
 supplies defaults for any flag (command-line flags win).
 
-``estimate`` runs on the standard library alone: the modules that need
-numpy (likelihood, paths, simulation) are imported by the subcommands
-that use them.
+``estimate``, ``check --input`` and ``paths`` run on the standard library
+alone: numpy is imported only by ``simulate`` and ``check --random``, and
+only when they run.
 """
 
 from __future__ import annotations
@@ -295,19 +295,9 @@ def cmd_paths(args) -> int:
 
     _require(args, ["x", "t", "s", "G", "theta"])
     design = StudyDesign(s=args.s, G=args.G)
-    bundle = build_paths(LatentUnit(x=args.x, t=args.t), design, args.theta)
-    rows = [
-        {
-            "x": int(age),
-            "dN": int(bundle.dn[i]),
-            "Y_prev": int(bundle.y_prev[i]),
-            "dN_tc": int(bundle.dn_tc[i]),
-            "Y_tc_prev": int(bundle.y_tc_prev[i]),
-            "dA_tc": float(bundle.da_tc[i]),
-            "dM_tc": float(bundle.dm_tc[i]),
-        }
-        for i, age in enumerate(bundle.ages)
-    ]
+    b = build_paths(LatentUnit(x=args.x, t=args.t), design, args.theta)
+    columns = (b.ages, b.dn, b.y_prev, b.dn_tc, b.y_tc_prev, b.da_tc, b.dm_tc)  # in PATH_COLUMNS order
+    rows = [dict(zip(PATH_COLUMNS, values)) for values in zip(*columns)]
     _dump_csv(rows, list(PATH_COLUMNS), args.output)
     return EXIT_OK
 

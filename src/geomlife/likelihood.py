@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .estimator import NoRiskTimeError, SufficientStats
 from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
 
@@ -29,8 +27,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class LogLikProfile:
     """Grid of theta values, log-likelihood values, and the refined argmax."""
 
-    grid: np.ndarray
-    values: np.ndarray
+    grid: tuple[float, ...]
+    values: tuple[float, ...]
     argmax_theta: float
 
 
@@ -97,9 +95,11 @@ def grid_argmax(
         raise ValueError(f"resolution must be >= 1000, got {resolution}")
     if stats.risk_time == 0:
         raise NoRiskTimeError("no observed risk time; log-likelihood is flat")
-    grid = np.linspace(eps, 1.0 - eps, resolution)
-    values = np.array([conditional_loglik(stats, th) for th in grid])
-    k = int(np.argmax(values))
+    first, last = eps, 1.0 - eps
+    step = (last - first) / (resolution - 1)
+    grid = tuple(i * step + first for i in range(resolution - 1)) + (last,)  # np.linspace, bit for bit
+    values = tuple(conditional_loglik(stats, th) for th in grid)
+    k = max(range(resolution), key=values.__getitem__)  # the first maximum, as np.argmax
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, resolution - 1)]
     argmax_theta = _golden_section_max(lambda th: conditional_loglik(stats, th), lo, hi)

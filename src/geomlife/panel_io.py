@@ -194,11 +194,8 @@ def _unit_row(row: list[str], s: int, G: int, lineno: int | None) -> tuple[int, 
     return t, d, censored
 
 
-def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
-    """Parse unit-level records ``t,d,censored`` (censored rows may omit d).
-
-    One object per row: the per-row reference for :func:`count_units`.
-    """
+def _unit_rows(stream: io.TextIOBase, s: int, G: int):
+    """Validated ``(t, d, censored)`` for each non-blank row of a ``t,d,censored`` CSV."""
     reader = _csv_rows(stream)
     try:
         _, header = next(reader)
@@ -206,13 +203,18 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
         raise PanelFormatError("empty input; expected header t,d,censored")
     if [h.strip() for h in header] != UNITS_HEADER:
         raise PanelFormatError(f"expected header {','.join(UNITS_HEADER)}, got {','.join(header)}", line=1)
-
-    units = []
     for lineno, row in reader:
         parsed = _unit_row(row, s, G, lineno)
         if parsed is not None:
-            units.append(ObservedUnit(*parsed))
-    return units
+            yield parsed
+
+
+def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
+    """Parse unit-level records ``t,d,censored`` (censored rows may omit d).
+
+    One object per row: the per-row reference for :func:`count_units`.
+    """
+    return [ObservedUnit(*parsed) for parsed in _unit_rows(stream, s, G)]
 
 
 #: Encodings in which a byte 0x0A, 0x0D, 0x22, 0x2C or 0x00 is always that
@@ -271,7 +273,7 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     valid file costs one pass over its bytes and memory in the number of
     distinct lines, not rows.  Files that need the csv rules (quoted
     cells, stray carriage returns, ...) or hold an invalid row take the
-    per-row path.
+    per-row path, which counts the rows as they are read.
     """
     with open(path, newline="") as fh:
         if fh.seekable() and codecs.lookup(fh.encoding).name in _LINE_SPLITTABLE_ENCODINGS:
@@ -279,8 +281,7 @@ def count_units(path, s: int, G: int) -> AggregateTable:
             if table is not None:
                 return table
             fh.seek(0)
-        units = parse_units(fh, s, G)
-    counts = Counter((u.t_obs, None if u.censored else u.d) for u in units)
+        counts = Counter((t, None if censored else d) for t, d, censored in _unit_rows(fh, s, G))
     return AggregateTable(s=s, G=G, counts=dict(counts))
 
 
@@ -300,3 +301,24 @@ def to_sufficient_stats(table: AggregateTable) -> SufficientStats:
         duration_sum=duration_sum,
         s=table.s,
     )
+
+
+def age_counts(table: AggregateTable) -> tuple[list[int], list[int]]:
+    """Events and units at risk at ages ``1 .. s+G-1`` of a stratified table.
+
+    A unit of cohort t with outcome d (d = s if censored) is at risk at
+    ages t+1 .. t+d and, if uncensored, fails at age t+d.  A marginal
+    table has no cohorts, hence no ages.
+    """
+    s, G = table.s, table.G
+    events = [0] * (s + G - 1)
+    at_risk = [0] * (s + G - 1)
+    for (cohort, outcome), count in table.counts.items():
+        if cohort is None:
+            raise ValueError("age counts need a stratified table (a cohort on every row), got a marginal one")
+        d = s if outcome is None else outcome
+        if outcome is not None:
+            events[cohort + d - 1] += count
+        for age in range(cohort + 1, cohort + d + 1):
+            at_risk[age - 1] += count
+    return events, at_risk

@@ -15,14 +15,12 @@ increment/at-risk vectors
 
 A unit that failed before observation began (``X <= T``) has all
 truncated/censored vectors identically zero, which the indicator formulas
-produce without special-casing.
+produce without special-casing.  Each vector is a tuple over the ages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import LatentUnit, StudyDesign, check_theta
 
@@ -34,26 +32,16 @@ PATH_COLUMNS = ("x", "dN", "Y_prev", "dN_tc", "Y_tc_prev", "dA_tc", "dM_tc")
 class PathBundle:
     """Counting-process increment vectors for one unit over ages 1..horizon."""
 
-    ages: np.ndarray
-    dn: np.ndarray
-    y_prev: np.ndarray
-    dn_trunc: np.ndarray
-    y_trunc_prev: np.ndarray
-    dn_tc: np.ndarray
-    y_tc_prev: np.ndarray
-    da_tc: np.ndarray
-    dm_tc: np.ndarray
+    ages: tuple[int, ...]
+    dn: tuple[int, ...]
+    y_prev: tuple[int, ...]
+    dn_trunc: tuple[int, ...]
+    y_trunc_prev: tuple[int, ...]
+    dn_tc: tuple[int, ...]
+    y_tc_prev: tuple[int, ...]
+    da_tc: tuple[float, ...]
+    dm_tc: tuple[float, ...]
     theta: float
-
-
-def dn_tc_indicator(x, t, age, s):
-    """1{t < age <= t+s, age = x}; broadcasts over array arguments."""
-    return ((t < age) & (age <= t + s) & (age == x)).astype(np.int64)
-
-
-def y_tc_prev_indicator(x, t, age, s):
-    """1{t < age <= min(x, t+s)}; broadcasts over array arguments."""
-    return ((t < age) & (age <= np.minimum(x, t + s))).astype(np.int64)
 
 
 def build_paths(unit: LatentUnit, design: StudyDesign, theta: float) -> PathBundle:
@@ -61,28 +49,25 @@ def build_paths(unit: LatentUnit, design: StudyDesign, theta: float) -> PathBund
     check_theta(theta)
     if unit.t > design.G - 1:
         raise ValueError(f"truncation age {unit.t} outside cohort support 0..{design.G - 1}")
-    ages = np.arange(1, design.horizon + 1)
+    ages = tuple(range(1, design.horizon + 1))
     x, t, s = unit.x, unit.t, design.s
 
-    dn = (ages == x).astype(np.int64)
-    y_prev = (ages <= x).astype(np.int64)
-    dn_trunc = ((t <= ages - 1) & (ages == x)).astype(np.int64)
-    y_trunc_prev = ((t <= ages - 1) & (ages <= x)).astype(np.int64)
-    dn_tc = dn_tc_indicator(x, t, ages, s)
-    y_tc_prev = y_tc_prev_indicator(x, t, ages, s)
-    da_tc = theta * y_tc_prev
-    dm_tc = dn_tc - da_tc
+    def indicator(holds) -> tuple[int, ...]:
+        return tuple(int(holds(age)) for age in ages)
 
+    dn_tc = indicator(lambda age: t < age <= t + s and age == x)
+    y_tc_prev = indicator(lambda age: t < age <= min(x, t + s))
+    da_tc = tuple(theta * y for y in y_tc_prev)
     return PathBundle(
         ages=ages,
-        dn=dn,
-        y_prev=y_prev,
-        dn_trunc=dn_trunc,
-        y_trunc_prev=y_trunc_prev,
+        dn=indicator(lambda age: age == x),
+        y_prev=indicator(lambda age: age <= x),
+        dn_trunc=indicator(lambda age: t <= age - 1 and age == x),
+        y_trunc_prev=indicator(lambda age: t <= age - 1 and age <= x),
         dn_tc=dn_tc,
         y_tc_prev=y_tc_prev,
         da_tc=da_tc,
-        dm_tc=dm_tc,
+        dm_tc=tuple(dn - da for dn, da in zip(dn_tc, da_tc)),
         theta=theta,
     )
 

@@ -1,29 +1,33 @@
 """Monte Carlo engine: consistency (MSE), CI coverage, CLT shape checks.
 
 Under the model the (cohort x outcome) count table of n independent
-latent units is exactly multinomial, so a study draws all K replicate
-tables at once, as one ``multinomial(n, cells, size=K)`` over the cells of
+latent units is exactly multinomial, so a study draws its K replicate
+tables as ``multinomial(n, cells)`` over the cells of
 :func:`model.cell_probabilities` from one generator seeded by
-``SeedSequence(seed)`` (RNG stream ``table-multinomial-v1``), and reduces
-them as one integer array.  Same-seed studies are bit-identical; there is
-no per-replicate ``spawn_key`` seeding in a study.  The per-unit sampler
-(``model.sample_units`` and ``observe_arrays``) stays as the oracle the
-tests compare this draw against, and feeds :func:`martingale_diagnostics`.
-Degenerate replicates (no observed units or no observed failures) enter
-the MSE with theta_hat = 0 but are excluded from coverage denominators;
-their count is reported.
+``SeedSequence(seed)`` (RNG stream ``table-multinomial-v1``), in chunks of
+:data:`STUDY_CHUNK` tables that continue one another's stream, and reduces
+each chunk as one integer array.  Same-seed studies are bit-identical;
+there is no per-replicate ``spawn_key`` seeding in a study.  The per-unit
+sampler (``model.sample_units`` and ``observe_arrays``) is the oracle the
+tests compare this draw against.  Degenerate replicates (no observed
+units or no observed failures) enter the MSE with theta_hat = 0 but are
+excluded from coverage denominators; their count is reported.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .estimator import SufficientStats, normal_quantile
-from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta, sample_units
+from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta
+
+#: Replicate tables drawn and reduced at a time, so that a study's memory
+#: does not grow with the tables of all K replicates.
+STUDY_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,20 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate_index,)))
 
 
-def study_tables(config: SimConfig) -> np.ndarray:
-    """Cell counts of all K replicates of a study, shape (K, G, s + 2).
+def study_tables(config: SimConfig):
+    """Cell counts of the K replicates of a study, in arrays of shape (k, G, s + 2).
 
-    One multinomial draw of size K over the cells of
-    :func:`model.cell_probabilities`, from the generator of
-    ``SeedSequence(seed)``: in each table row t is cohort t, columns are
+    Successive multinomial draws of :data:`STUDY_CHUNK` tables (fewer in
+    the last) over the cells of :func:`model.cell_probabilities`, all from
+    the generator of ``SeedSequence(seed)``, so that together they equal
+    one draw of size K.  In each table row t is cohort t; columns are
     truncated, failure in year 1..s, censored.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     s, G = config.design.s, config.design.G
-    return rng.multinomial(config.n, config._cells, size=config.n_replicates).reshape(-1, G, s + 2)
+    for start in range(0, config.n_replicates, STUDY_CHUNK):
+        size = min(STUDY_CHUNK, config.n_replicates - start)
+        yield rng.multinomial(config.n, config._cells, size=size).reshape(-1, G, s + 2)
 
 
 def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
@@ -194,7 +201,7 @@ def ks_normal(sample: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between the sample's ECDF and N(0, 1)."""
     x = np.sort(sample)
     n = x.size
-    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+    cdf = np.fromiter((0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()), float, count=n)
     above = np.arange(1, n + 1) / n - cdf  # ECDF just after each point
     below = cdf - np.arange(n) / n  # and just before it
     return float(max(above.max(), below.max()))
@@ -210,7 +217,8 @@ def skew_kurtosis(sample: np.ndarray) -> tuple[float, float]:
 
 def run_study(config: SimConfig) -> StudyReport:
     """Draw and reduce all K replicates; summarize MSE, coverage, and CLT shape."""
-    theta_hats, ci_lo, ci_hi, degenerate = run_replicate(config, study_tables(config))
+    chunks = zip(*(run_replicate(config, tables) for tables in study_tables(config)))
+    theta_hats, ci_lo, ci_hi, degenerate = (np.concatenate(chunk) for chunk in chunks)
 
     errors = theta_hats - config.theta0
     mse = float(np.mean(errors**2))
@@ -256,38 +264,30 @@ def martingale_diagnostics(config: SimConfig) -> dict:
 
     For each age x: the mean of dm_tc(x) across units with its Monte Carlo
     standard error, the count at risk, and the event frequency among units
-    at risk.  Draws n latent units with the per-unit sampler from the rng
-    of ``SeedSequence(seed, spawn_key=(0,))``; it is not a table of
-    :func:`run_study`, which draws at count level from ``SeedSequence(seed)``.
+    at risk.  The sample is one table of n units, table 0 of the study
+    stream of ``SeedSequence(seed)`` (:func:`study_tables`).  Per unit,
+    dm_tc(x) is 1 - theta0 on an event, -theta0 when at risk without one
+    and 0 otherwise, so every figure is a closed form in the table's
+    :func:`panel_io.age_counts`.
     """
-    from .paths import dn_tc_indicator, y_tc_prev_indicator  # imported on use; studies do not need it
+    from .panel_io import AggregateTable, age_counts  # imported on use; studies do not need it
 
-    rng = _replicate_rng(config.seed, 0)
-    x, t = sample_units(config.theta0, config.tdist, config.n, rng)
-    horizon = config.design.horizon
-    s = config.design.s
-    n = config.n
-
-    ages = np.arange(1, horizon + 1)
-    dm_mean = np.empty(horizon)
-    dm_se = np.empty(horizon)
-    at_risk = np.empty(horizon, dtype=np.int64)
-    events = np.empty(horizon, dtype=np.int64)
-    for i, age in enumerate(ages):
-        dn = dn_tc_indicator(x, t, age, s)
-        y = y_tc_prev_indicator(x, t, age, s)
-        dm = dn - config.theta0 * y
-        dm_mean[i] = dm.mean()
-        dm_se[i] = dm.std(ddof=1) / np.sqrt(n)
-        at_risk[i] = y.sum()
-        events[i] = dn.sum()
-
-    with np.errstate(invalid="ignore"):
-        event_freq = np.where(at_risk > 0, events / at_risk, np.nan)
+    s, G, n, theta = config.design.s, config.design.G, config.n, config.theta0
+    cells = next(study_tables(replace(config, n_replicates=1)))[0]
+    table = AggregateTable.from_wide(dict(enumerate(cells[:, 1:].tolist())), s=s, G=G)
+    events, at_risk = (np.array(counts, dtype=np.int64) for counts in age_counts(table))
+    dm_mean = (events - theta * at_risk) / n
+    # squared deviations from the mean over the three values dm_tc takes
+    squares = (
+        events * (1.0 - theta - dm_mean) ** 2
+        + (at_risk - events) * (theta + dm_mean) ** 2
+        + (n - at_risk) * dm_mean**2
+    )
+    event_freq = np.divide(events, at_risk, out=np.full(at_risk.shape, np.nan), where=at_risk > 0)
     return {
-        "ages": ages,
+        "ages": np.arange(1, config.design.horizon + 1),
         "dm_mean": dm_mean,
-        "dm_se": dm_se,
+        "dm_se": np.sqrt(squares / (n - 1) / n),  # sample sd (ddof = 1) over sqrt(n)
         "at_risk": at_risk,
         "events": events,
         "event_freq": event_freq,

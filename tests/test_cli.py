@@ -439,6 +439,32 @@ class TestPaths:
         assert at_risk == ["4", "5"]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DESIGN_FLAGS = ["--s", "2", "--G", "5"]
+
+
+class TestGoldenOutput:
+    """Recorded stdout of ``check`` and ``paths``, compared byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("check_table1", ["check", "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS]),
+            ("check_table1_csv", ["check", "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS,
+                                  "--output-format", "csv"]),
+            ("check_random", ["check", "--random", "20", "--seed", "7", "--s", "2"]),
+            ("paths_event", ["paths", "--x", "4", "--t", "3", "--theta", "0.1", *DESIGN_FLAGS]),
+            ("paths_cens", ["paths", "--x", "10", "--t", "3", "--theta", "0.3", *DESIGN_FLAGS]),
+            ("paths_trunc", ["paths", "--x", "2", "--t", "4", "--theta", "0.3", *DESIGN_FLAGS]),
+            ("paths_s3", ["paths", "--x", "5", "--t", "1", "--theta", "0.7", "--s", "3", "--G", "4"]),
+        ],
+    )
+    def test_stdout_matches_the_recording(self, capsys, name, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, table1_path, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,10 @@
 """Import budget: each subcommand loads only what it uses.
 
-``estimate`` runs on the standard library alone; ``check``, ``paths`` and
-``simulate`` load numpy; nothing loads scipy, which is a test-only
-dependency, and ``simulate`` starts no process pool.  Each case runs a fresh interpreter with ``-X importtime`` and
-reads the modules it imported from stderr.
+``estimate``, ``check --input`` and ``paths`` run on the standard library
+alone; only ``simulate`` and the opt-in ``check --random`` load numpy;
+nothing loads scipy, which is a test-only dependency, and ``simulate``
+starts no process pool.  Each case runs a fresh interpreter with
+``-X importtime`` and reads the modules it imported from stderr.
 """
 
 import os
@@ -55,6 +56,23 @@ def test_estimate_needs_neither_numpy_nor_scipy(tmp_path, units_file, output_for
         )
         assert "geomlife.estimator" in modules  # the probe sees the program's imports
         assert not top_level(modules) & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize(
+    "argv,module",
+    [
+        (["check", "--input", str(DATA / "table1.csv")], "geomlife.likelihood"),
+        (["check", "--input", str(DATA / "table3.csv"), "--output-format", "csv"], "geomlife.likelihood"),
+        (["check", "--input", "UNITS", "--format", "units"], "geomlife.likelihood"),
+        (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], "geomlife.paths"),
+    ],
+    ids=["check-aggregate", "check-stratified-csv", "check-units", "paths"],
+)
+def test_check_input_and_paths_need_neither_numpy_nor_scipy(tmp_path, units_file, argv, module):
+    argv = [str(units_file) if arg == "UNITS" else arg for arg in argv]
+    modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path)
+    assert module in modules  # the probe sees the program's imports
+    assert not top_level(modules) & {"numpy", "scipy"}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomlife.estimator import NoRiskTimeError, SufficientStats
-from geomlife.likelihood import conditional_loglik, grid_argmax, likelihood_contribution
-from geomlife.model import LatentUnit, StudyDesign, TruncationDist, observe, sample_units
+from geomlife.likelihood import _golden_section_max, conditional_loglik, grid_argmax, likelihood_contribution
+from geomlife.model import THETA_EPS, LatentUnit, StudyDesign, TruncationDist, observe, sample_units
 from geomlife.paths import build_paths
 
 from helpers import G, S, TABLE1_M_UNCENS, TABLE1_RISK_TIME, table1
@@ -152,9 +153,33 @@ class TestGridArgmax:
 
     def test_profile_shape(self):
         profile = grid_argmax(TABLE1_STATS, resolution=1201)
-        assert profile.grid.size == 1201
-        assert profile.values.size == 1201
-        assert np.all(np.diff(profile.grid) > 0)
+        assert len(profile.grid) == 1201
+        assert len(profile.values) == 1201
+        assert all(a < b for a, b in zip(profile.grid, profile.grid[1:]))
+
+    @pytest.mark.parametrize("resolution", [1000, 1201, 2001, 5000])
+    def test_grid_is_linspace_bit_for_bit(self, resolution):
+        grid = grid_argmax(TABLE1_STATS, resolution=resolution).grid
+        assert grid == tuple(np.linspace(THETA_EPS, 1.0 - THETA_EPS, resolution).tolist())
+
+    def test_argmax_equals_the_numpy_scan_on_oracle_cases(self):
+        # criterion 04's cases: 100 seeded random stats and the reference table
+        rng = np.random.default_rng(1234)
+        cases = [TABLE1_STATS]
+        for _ in range(100):
+            m_uncens = int(rng.integers(1, 2000))
+            extra = int(rng.integers(0, m_uncens + 1))
+            m_cens = int(rng.integers(1, 2000))
+            cases.append(SufficientStats(m_uncens + m_cens, m_uncens, m_cens, m_uncens + extra, 2))
+        for stats in cases:
+            grid = np.linspace(THETA_EPS, 1.0 - THETA_EPS, 2001)
+            values = np.array([conditional_loglik(stats, th) for th in grid])
+            k = int(np.argmax(values))
+            loglik = partial(conditional_loglik, stats)
+            want = _golden_section_max(loglik, grid[max(k - 1, 0)], grid[min(k + 1, 2000)])
+            profile = grid_argmax(stats)
+            assert profile.values == tuple(values.tolist())
+            assert profile.argmax_theta == want
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):

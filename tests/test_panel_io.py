@@ -1,15 +1,18 @@
 import io
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlife import panel_io
 from geomlife.estimator import SufficientStats, sufficient_stats, theta_hat
-from geomlife.model import ObservedUnit, StudyDesign
+from geomlife.model import ObservedUnit, StudyDesign, TruncationDist, observe_arrays, sample_units
 from geomlife.panel_io import (
     AggregateTable,
     PanelFormatError,
+    age_counts,
     count_units,
     parse_aggregate,
     parse_units,
@@ -189,10 +192,20 @@ class TestCountUnits:
             raise AssertionError("parse_units called on a plain valid file")
 
         monkeypatch.setattr(panel_io, "parse_units", refuse)
+        monkeypatch.setattr(panel_io, "_unit_rows", refuse)
         path = tmp_path / "units.csv"
         path.write_bytes(b"t , d, censored\r\n0,1,0\r\n\n 4 ,,1\n3,2,1\n  \n4,,1\n1,2,0")
         table = count_units(path, 2, 5)
         assert table.counts == {(0, 1): 1, (4, None): 2, (3, None): 1, (1, 2): 1}
+
+    def test_per_row_path_counts_without_unit_objects(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_units built an ObservedUnit")
+
+        monkeypatch.setattr(panel_io, "ObservedUnit", refuse)
+        path = tmp_path / "units.csv"
+        path.write_bytes(b't,d,censored\n"0",1,0\n1,,1\n0,1,0\n')  # the quoted cell needs the csv rules
+        assert count_units(path, 2, 5).counts == {(0, 1): 2, (1, None): 1}
 
     def test_reference_panel_as_units(self, tmp_path):
         lines = ["t,d,censored\n"]
@@ -222,6 +235,44 @@ class TestToSufficientStats:
         assert theta_hat(to_sufficient_stats(table3())) == theta_hat(
             to_sufficient_stats(table1())
         )
+
+
+class TestAgeCounts:
+    def test_hand_example(self):
+        # cohort 0: 3 fail in year 1, 2 censored; cohort 1: 5 fail in year 2
+        table = AggregateTable(s=2, G=2, counts={(0, 1): 3, (0, None): 2, (1, 2): 5})
+        assert age_counts(table) == ([3, 0, 5], [5, 7, 5])
+
+    @pytest.mark.parametrize(
+        "theta,s,G,pmf",
+        [(0.1, 2, 5, None), (0.3, 4, 7, None), (0.05, 3, 4, [0.1, 0.2, 0.3, 0.4]), (0.5, 1, 1, None)],
+    )
+    def test_equals_per_unit_indicator_sums(self, theta, s, G, pmf):
+        design = StudyDesign(s=s, G=G)
+        tdist = TruncationDist.uniform(G) if pmf is None else TruncationDist(pmf)
+        x, t = sample_units(theta, tdist, 20_000, np.random.default_rng(2026))
+        code = observe_arrays(x, t, design)  # 0 truncated, d = 1..s, s + 1 censored
+        cells = Counter(zip(t.tolist(), code.tolist()))
+        table = AggregateTable(
+            s=s, G=G, counts={(c, None if k > s else k): n for (c, k), n in cells.items() if k > 0}
+        )
+        ages = np.arange(1, design.horizon + 1)[:, None]
+        events = ((t < ages) & (ages <= t + s) & (ages == x)).sum(axis=1)
+        at_risk = ((t < ages) & (ages <= np.minimum(x, t + s))).sum(axis=1)
+        assert age_counts(table) == (events.tolist(), at_risk.tolist())
+
+    def test_reference_panel_totals(self):
+        events, at_risk = age_counts(table3())
+        stats = to_sufficient_stats(table3())
+        assert len(events) == len(at_risk) == S + G - 1
+        assert sum(events) == stats.m_uncens
+        assert sum(at_risk) == stats.risk_time
+        # the panel's discrete hazards by age, events over units at risk
+        assert [round(e / r, 3) for e, r in zip(events, at_risk)] == [0.057, 0.082, 0.110, 0.132, 0.123, 0.083]
+
+    def test_marginal_table_rejected(self):
+        with pytest.raises(ValueError, match="stratified table"):
+            age_counts(table1())
 
 
 class TestFromWide:

@@ -54,6 +54,11 @@ def config(n=1000, K=10, seed=42, theta0=0.1, level=0.95, design=DESIGN, tdist=U
     )
 
 
+def all_tables(c):
+    """The K tables of a study as one (K, G, s + 2) array."""
+    return np.concatenate(list(study_tables(c)))
+
+
 class TestAsymptoticVariance:
     def test_reference_design(self):
         sigma_sq, n_var = asymptotic_variance(0.1, DESIGN, UNIFORM)
@@ -92,21 +97,21 @@ class TestRunReplicate:
 
     def test_deterministic(self):
         c = config(n=5000, K=20, seed=7)
-        tables = study_tables(c)
-        assert np.array_equal(tables, study_tables(c))
-        for first, second in zip(run_replicate(c, tables), run_replicate(c, study_tables(c))):
+        tables = all_tables(c)
+        assert np.array_equal(tables, all_tables(c))
+        for first, second in zip(run_replicate(c, tables), run_replicate(c, all_tables(c))):
             assert np.array_equal(first, second)
 
     def test_replicates_differ(self):
         c = config(n=5000, K=20, seed=7)
-        tables = study_tables(c)
+        tables = all_tables(c)
         assert tables.shape == (20, DESIGN.G, DESIGN.s + 2)
         assert len({table.tobytes() for table in tables}) == 20
         assert np.unique(run_replicate(c, tables)[0]).size > 1
 
     def test_large_sample_consistency(self):
         c = config(n=10**6, K=1, seed=11)
-        theta_hat, _, _, degenerate = run_replicate(c, study_tables(c))
+        theta_hat, _, _, degenerate = run_replicate(c, all_tables(c))
         assert 0.099 <= theta_hat[0] <= 0.101
         assert not degenerate[0]
 
@@ -121,7 +126,7 @@ class TestRunReplicate:
             design=design,
             tdist=TruncationDist.point_mass(39, 40),
         )
-        tables = study_tables(c)
+        tables = all_tables(c)
         assert tables[..., 1:].sum() == 0
         theta_hat, ci_lo, ci_hi, degenerate = run_replicate(c, tables)
         assert (theta_hat[0], ci_lo[0], ci_hi[0], degenerate[0]) == (0.0, 0.0, 0.0, True)
@@ -129,7 +134,7 @@ class TestRunReplicate:
     def test_study_reduces_its_own_tables(self):
         c = config(n=800, K=30, seed=19)
         report = run_study(c)
-        theta_hat, _, _, degenerate = run_replicate(c, study_tables(c))
+        theta_hat, _, _, degenerate = run_replicate(c, all_tables(c))
         assert np.array_equal(report.theta_hats, theta_hat)
         assert report.degenerate_count == degenerate.sum()
 
@@ -147,7 +152,7 @@ class TestRunReplicate:
     def test_equals_estimate_on_every_table(self, theta0, s, G, tdist, n, level):
         design = StudyDesign(s=s, G=G)
         c = config(n=n, K=500, seed=23, theta0=theta0, design=design, tdist=tdist, level=level)
-        tables = np.concatenate([study_tables(c), np.zeros((1, G, s + 2), dtype=np.int64)])
+        tables = np.concatenate([all_tables(c), np.zeros((1, G, s + 2), dtype=np.int64)])
         reduced = run_replicate(c, tables)
         degenerate_rows = zero_risk_rows = 0
         for k, table in enumerate(tables):
@@ -164,6 +169,28 @@ class TestRunReplicate:
             assert got[3] is want[3]
             degenerate_rows += want[3]
         assert zero_risk_rows >= 1 and degenerate_rows >= zero_risk_rows
+
+
+class TestStudyChunks:
+    """A study draws and reduces its K tables STUDY_CHUNK at a time."""
+
+    def test_chunks_continue_one_draw(self, monkeypatch):
+        monkeypatch.setattr(simulation, "STUDY_CHUNK", 3)
+        c = config(n=700, K=10, seed=61)
+        chunks = list(study_tables(c))
+        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
+        rng = np.random.default_rng(np.random.SeedSequence(c.seed))
+        one_draw = rng.multinomial(c.n, cell_probabilities(c.theta0, DESIGN, UNIFORM).ravel(), size=c.n_replicates)
+        assert np.array_equal(np.concatenate(chunks), one_draw.reshape(-1, DESIGN.G, DESIGN.s + 2))
+
+    def test_chunk_size_leaves_the_study_unchanged(self, monkeypatch):
+        c = config(n=300, K=50, seed=62)
+        whole = run_study(c)
+        monkeypatch.setattr(simulation, "STUDY_CHUNK", 7)
+        chunked = run_study(c)
+        assert whole.theta_hats.tobytes() == chunked.theta_hats.tobytes()
+        assert whole.standardized.tobytes() == chunked.standardized.tobytes()
+        assert whole.to_row() == chunked.to_row()
 
 
 class TestProbeContract:
@@ -186,6 +213,10 @@ class TestProbeContract:
         c = config(n=500, K=12, seed=4)
         run_study(c)
         assert calls == [(12, DESIGN.G, DESIGN.s + 2)]
+        calls.clear()
+        monkeypatch.setattr(simulation, "STUDY_CHUNK", 5)
+        run_study(c)
+        assert calls == [(5, DESIGN.G, DESIGN.s + 2), (5, DESIGN.G, DESIGN.s + 2), (2, DESIGN.G, DESIGN.s + 2)]
 
     def test_one_replicate_bridge_runs(self):
         c = config(n=500, K=3, seed=4)
@@ -263,7 +294,7 @@ class TestReplicateStats:
     def test_study_draw_matches_cell_probabilities(self, theta0, s, G, tdist, n):
         design = StudyDesign(s=s, G=G)
         c = config(n=n, K=self.K, seed=9, theta0=theta0, design=design, tdist=tdist)
-        pooled = study_tables(c).sum(axis=0)
+        pooled = all_tables(c).sum(axis=0)
         expected = n * self.K * cell_probabilities(theta0, design, tdist)
         assert pooled.sum() == n * self.K
         assert not pooled[expected == 0].any()
@@ -299,7 +330,7 @@ class TestReplicateStats:
 class TestStudies:
     def test_single_replicate_mse(self):
         c = config(n=2000, K=1, seed=5)
-        theta_hat = run_replicate(c, study_tables(c))[0][0]
+        theta_hat = run_replicate(c, all_tables(c))[0][0]
         assert run_study(c).mse == (theta_hat - 0.1) ** 2
 
     def test_mse_shrinks_with_n(self):
@@ -406,6 +437,25 @@ class TestMartingaleDiagnostics:
         expected = expected_risk_profile(theta0, DESIGN, UNIFORM)
         se = np.sqrt(expected * (1 - expected) / n)
         assert np.all(np.abs(diag["empirical_risk"] - expected) <= 4 * se)
+
+
+    @pytest.mark.parametrize("theta0,s,G,tdist,n", CELL_DESIGNS)
+    def test_closed_forms_equal_per_unit_residuals(self, theta0, s, G, tdist, n):
+        design = StudyDesign(s=s, G=G)
+        c = config(n=max(n, 2), K=3, seed=71, theta0=theta0, design=design, tdist=tdist)
+        table = all_tables(c)[0]  # the diagnostics draw table 0 of the study stream
+        # one row per unit: cohort t, outcome code (0 truncated, d = 1..s, s + 1 censored)
+        t, code = np.divmod(np.repeat(np.arange(table.size), table.ravel()), s + 2)
+        d = np.minimum(code, s)
+        ages = np.arange(1, design.horizon + 1)[:, None]
+        at_risk = (code > 0) & (t < ages) & (ages <= t + d)
+        event = at_risk & (code <= s) & (ages == t + d)
+        dm = event - theta0 * at_risk  # ages x units
+        diag = martingale_diagnostics(c)
+        assert np.array_equal(diag["events"], event.sum(axis=1))
+        assert np.array_equal(diag["at_risk"], at_risk.sum(axis=1))
+        assert diag["dm_mean"] == pytest.approx(dm.mean(axis=1), rel=1e-12, abs=1e-15)
+        assert diag["dm_se"] == pytest.approx(dm.std(axis=1, ddof=1) / np.sqrt(c.n), rel=1e-9, abs=1e-15)
 
 
 class TestValidation:
