@@ -157,6 +157,8 @@ def _load_stats(args) -> SufficientStats:
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 < args.level < 1.0:  # named before any row is read, as --s and --G are
+        raise ValueError(f"--level must be in (0, 1), got {args.level}")
     stats = _load_stats(args)
     result = estimate(stats, level=args.level)
     payload = result.to_dict()

@@ -7,6 +7,10 @@ Aggregate tables are long-format CSV with header ``cohort,outcome,count``:
 summed.  A table is either marginal (every ``cohort`` empty) or stratified
 (none empty); mixing the two would count units twice and is an error.
 Unit-level files use header ``t,d,censored``.
+
+Every input becomes one :class:`AggregateTable`, G + 1 rows of s + 1
+exact ints: row t is cohort t, row G a marginal table's counts; columns
+are failure in window year 1..s, then censored.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import codecs
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from .estimator import SufficientStats
 from .model import ObservedUnit
@@ -38,43 +43,34 @@ class PanelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class AggregateTable:
-    """Normalized counts keyed by (cohort, outcome); outcome None = censored."""
+    """A (cohort x outcome) count table: ``rows``, G + 1 tuples of s + 1 ints.
+
+    ``rows[t][d - 1]`` counts the units of cohort t that fail in window
+    year d and ``rows[t][s]`` those censored at the window's end.  Row G
+    holds the counts of a marginal table, whose units carry no cohort.
+    """
 
     s: int
     G: int
-    counts: dict = field(default_factory=dict)
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for (cohort, outcome), count in self.counts.items():
-            if count < 0:
-                raise PanelFormatError(f"negative count {count} for {(cohort, outcome)}")
-            if cohort is not None and not 0 <= cohort <= self.G - 1:
-                raise PanelFormatError(f"cohort {cohort} outside 0..{self.G - 1}")
-            if outcome is not None and not 1 <= outcome <= self.s:
-                raise PanelFormatError(f"outcome {outcome} outside 1..{self.s}")
+        rows = tuple(map(tuple, self.rows))
+        if len(rows) != self.G + 1 or set(map(len, rows)) != {self.s + 1}:
+            raise ValueError(f"a table with s={self.s}, G={self.G} needs {self.G + 1} rows of {self.s + 1} counts")
+        low = min(chain.from_iterable(rows), default=0)
+        if low < 0:
+            raise PanelFormatError(f"counts must be nonnegative, got {low}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def m(self) -> int:
-        return sum(self.counts.values())
-
-    @classmethod
-    def from_wide(cls, rows: dict, s: int, G: int) -> "AggregateTable":
-        """Build from a wide layout {cohort: (count_d1, ..., count_ds, count_cens)}."""
-        counts: dict = {}
-        for cohort, row in rows.items():
-            if len(row) != s + 1:
-                raise ValueError(f"wide row for cohort {cohort} needs {s + 1} entries")
-            for d, count in enumerate(row[:s], start=1):
-                counts[(cohort, d)] = counts.get((cohort, d), 0) + int(count)
-            counts[(cohort, None)] = counts.get((cohort, None), 0) + int(row[s])
-        return cls(s=s, G=G, counts=counts)
+        return sum(map(sum, self.rows))
 
     def pooled(self) -> "AggregateTable":
-        """Marginalize over cohorts (all keys get cohort None)."""
-        counts: dict = {}
-        for (_, outcome), count in self.counts.items():
-            counts[(None, outcome)] = counts.get((None, outcome), 0) + count
-        return AggregateTable(s=self.s, G=self.G, counts=counts)
+        """Marginalize over cohorts: each column summed into row G."""
+        zero = (0,) * (self.s + 1)
+        return AggregateTable(self.s, self.G, [*[zero] * self.G, map(sum, zip(*self.rows))])
 
 
 def _csv_rows(stream: io.TextIOBase):
@@ -102,7 +98,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     if [h.strip() for h in header] != AGGREGATE_HEADER:
         raise PanelFormatError(f"expected header {','.join(AGGREGATE_HEADER)}, got {','.join(header)}", line=1)
 
-    counts: dict = {}
+    rows = [[0] * (s + 1) for _ in range(G + 1)]
     marginal = None  # kind of the first data row; every later row must match
     for lineno, row in reader:
         if not row or all(not cell.strip() for cell in row):
@@ -131,7 +127,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
             )
 
         if raw_outcome == CENSORED_OUTCOME:
-            outcome = None
+            column = s
         else:
             try:
                 outcome = int(raw_outcome)
@@ -141,6 +137,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
                 )
             if not 1 <= outcome <= s:
                 raise PanelFormatError(f"outcome {outcome} outside 1..{s}", line=lineno)
+            column = outcome - 1
 
         try:
             count = int(raw_count)
@@ -149,10 +146,9 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
         if count < 0:
             raise PanelFormatError(f"count must be nonnegative, got {count}", line=lineno)
 
-        key = (cohort, outcome)
-        counts[key] = counts.get(key, 0) + count
+        rows[G if cohort is None else cohort][column] += count
 
-    return AggregateTable(s=s, G=G, counts=counts)
+    return AggregateTable(s, G, rows)
 
 
 def _unit_row(row: list[str], s: int, G: int, lineno: int | None) -> tuple[int, int, bool] | None:
@@ -251,7 +247,7 @@ def _count_distinct_lines(raw: io.BufferedIOBase, encoding: str, s: int, G: int)
     header = _plain_fields(raw.readline(), encoding)
     if header is None or [h.strip() for h in header] != UNITS_HEADER:
         return None
-    counts: Counter = Counter()
+    rows = [[0] * (s + 1) for _ in range(G + 1)]
     for line, n in Counter(raw).items():
         row = _plain_fields(line, encoding)
         if row is None:
@@ -262,8 +258,8 @@ def _count_distinct_lines(raw: io.BufferedIOBase, encoding: str, s: int, G: int)
             return None
         if parsed is not None:
             t, d, censored = parsed
-            counts[(t, None if censored else d)] += n
-    return AggregateTable(s=s, G=G, counts=dict(counts))
+            rows[t][s if censored else d - 1] += n
+    return AggregateTable(s, G, rows)
 
 
 def count_units(path, s: int, G: int) -> AggregateTable:
@@ -281,24 +277,21 @@ def count_units(path, s: int, G: int) -> AggregateTable:
             if table is not None:
                 return table
             fh.seek(0)
-        counts = Counter((t, None if censored else d) for t, d, censored in _unit_rows(fh, s, G))
-    return AggregateTable(s=s, G=G, counts=dict(counts))
+        rows = [[0] * (s + 1) for _ in range(G + 1)]
+        for t, d, censored in _unit_rows(fh, s, G):
+            rows[t][s if censored else d - 1] += 1
+    return AggregateTable(s, G, rows)
 
 
 def to_sufficient_stats(table: AggregateTable) -> SufficientStats:
     """Collapse an aggregate table to sufficient statistics."""
-    m_uncens = m_cens = duration_sum = 0
-    for (_, outcome), count in table.counts.items():
-        if outcome is None:
-            m_cens += count
-        else:
-            m_uncens += count
-            duration_sum += outcome * count
+    *failures, m_cens = map(sum, zip(*table.rows))  # the pooled row
+    m_uncens = sum(failures)
     return SufficientStats(
         m=m_uncens + m_cens,
         m_uncens=m_uncens,
         m_cens=m_cens,
-        duration_sum=duration_sum,
+        duration_sum=sum(d * count for d, count in enumerate(failures, start=1)),
         s=table.s,
     )
 
@@ -307,18 +300,18 @@ def age_counts(table: AggregateTable) -> tuple[list[int], list[int]]:
     """Events and units at risk at ages ``1 .. s+G-1`` of a stratified table.
 
     A unit of cohort t with outcome d (d = s if censored) is at risk at
-    ages t+1 .. t+d and, if uncensored, fails at age t+d.  A marginal
-    table has no cohorts, hence no ages.
+    ages t+1 .. t+d and, if uncensored, fails at age t+d: in window year
+    j + 1 of row t, ``rows[t][j]`` fail out of the ``sum(rows[t][j:])`` at
+    risk.  A marginal table has no cohorts, hence no ages; one whose counts
+    are all 0 is the empty table and has zeros at every age.
     """
     s, G = table.s, table.G
+    if any(table.rows[G]):
+        raise ValueError("age counts need a stratified table (a cohort on every row), got a marginal one")
     events = [0] * (s + G - 1)
     at_risk = [0] * (s + G - 1)
-    for (cohort, outcome), count in table.counts.items():
-        if cohort is None:
-            raise ValueError("age counts need a stratified table (a cohort on every row), got a marginal one")
-        d = s if outcome is None else outcome
-        if outcome is not None:
-            events[cohort + d - 1] += count
-        for age in range(cohort + 1, cohort + d + 1):
-            at_risk[age - 1] += count
+    for t, row in enumerate(table.rows[:G]):
+        for j in range(s):  # age t + j + 1
+            events[t + j] += row[j]
+            at_risk[t + j] += sum(row[j:])
     return events, at_risk

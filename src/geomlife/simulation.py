@@ -172,8 +172,7 @@ def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
     s, G = config.design.s, config.design.G
     cells = replicate_table(config, replicate_index)
     # column 0 holds the truncated units, which the panel never records
-    table = AggregateTable.from_wide(dict(enumerate(cells[:, 1:].tolist())), s=s, G=G)
-    return to_sufficient_stats(table)
+    return to_sufficient_stats(AggregateTable(s, G, [*cells[:, 1:].tolist(), [0] * (s + 1)]))
 
 
 def run_replicate(
@@ -268,13 +267,15 @@ def martingale_diagnostics(config: SimConfig) -> dict:
     stream of ``SeedSequence(seed)`` (:func:`study_tables`).  Per unit,
     dm_tc(x) is 1 - theta0 on an event, -theta0 when at risk without one
     and 0 otherwise, so every figure is a closed form in the table's
-    :func:`panel_io.age_counts`.
+    :func:`panel_io.age_counts`.  The standard error needs n >= 2.
     """
     from .panel_io import AggregateTable, age_counts  # imported on use; studies do not need it
 
     s, G, n, theta = config.design.s, config.design.G, config.n, config.theta0
+    if n < 2:
+        raise ValueError(f"martingale diagnostics need n >= 2 units, got n = {n}")
     cells = next(study_tables(replace(config, n_replicates=1)))[0]
-    table = AggregateTable.from_wide(dict(enumerate(cells[:, 1:].tolist())), s=s, G=G)
+    table = AggregateTable(s, G, [*cells[:, 1:].tolist(), [0] * (s + 1)])
     events, at_risk = (np.array(counts, dtype=np.int64) for counts in age_counts(table))
     dm_mean = (events - theta * at_risk) / n
     # squared deviations from the mean over the three values dm_tc takes

@@ -22,13 +22,16 @@ S, G = 2, 5
 # (count_d1, count_d2, count_censored)
 TABLE1_ROW = (168112, 107050, 1172652)
 
-TABLE3_WIDE = {
-    0: (18687, 18633, 292566),
-    1: (34549, 27464, 278223),
-    2: (35588, 23353, 209649),
-    3: (42272, 20305, 200411),
-    4: (37016, 17295, 191803),
-}
+# one row per cohort t = 0..G-1
+TABLE3_ROWS = (
+    (18687, 18633, 292566),
+    (34549, 27464, 278223),
+    (35588, 23353, 209649),
+    (42272, 20305, 200411),
+    (37016, 17295, 191803),
+)
+
+ZERO_ROW = (0,) * (S + 1)
 
 TABLE1_M = sum(TABLE1_ROW)  # 1_447_814
 TABLE1_M_UNCENS = TABLE1_ROW[0] + TABLE1_ROW[1]  # 275_162
@@ -37,11 +40,13 @@ TABLE1_RISK_TIME = TABLE1_DURATION_SUM + S * TABLE1_ROW[2]  # 2_727_516
 
 
 def table1() -> AggregateTable:
-    return AggregateTable.from_wide({None: TABLE1_ROW}, s=S, G=G)
+    """The marginal table: every count in row G."""
+    return AggregateTable(S, G, [*[ZERO_ROW] * G, TABLE1_ROW])
 
 
 def table3() -> AggregateTable:
-    return AggregateTable.from_wide(TABLE3_WIDE, s=S, G=G)
+    """The stratified table: row G empty."""
+    return AggregateTable(S, G, [*TABLE3_ROWS, ZERO_ROW])
 
 
 def table1_csv() -> str:

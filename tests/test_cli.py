@@ -351,7 +351,7 @@ class TestCheck:
 
 
 class TestDesignFlags:
-    """A bad --s or --G is named before any row of the input is read."""
+    """A bad --s, --G or --level is named before any row of the input is read."""
 
     @pytest.mark.parametrize("subcommand", ["estimate", "check"])
     @pytest.mark.parametrize(
@@ -371,6 +371,22 @@ class TestDesignFlags:
         path.write_text("t,d,censored\n0,1,0\n")
         code, out, err = run(capsys, "estimate", "--format", "units", "--input", str(path), "--s", "0", "--G", "5")
         assert (code, out, err) == (1, "", "error: window length s must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize(
+        "fmt,text,level",
+        [
+            ("aggregate", "cohort,outcome,count\n", "1.5"),  # no rows: no risk time
+            ("units", "t,d,censored\n0,9,0\n", "0"),  # an invalid row
+            ("units", "t,d,censored\n0,1,0\n", "nan"),
+        ],
+    )
+    def test_level(self, capsys, tmp_path, fmt, text, level):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "estimate", "--format", fmt, "--input", str(path), "--s", "2", "--G", "5", "--level", level
+        )
+        assert (code, out, err) == (1, "", f"error: --level must be in (0, 1), got {float(level)}\n")
 
 
 class TestUsageErrors:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomlife import panel_io
-from geomlife.estimator import SufficientStats, sufficient_stats, theta_hat
+from geomlife.estimator import theta_hat
 from geomlife.model import ObservedUnit, StudyDesign, TruncationDist, observe_arrays, sample_units
 from geomlife.panel_io import (
     AggregateTable,
@@ -37,26 +37,26 @@ class TestParseAggregate:
     def test_marginal_table(self):
         table = parse_csv("cohort,outcome,count\n,1,168112\n,2,107050\n,cens,1172652\n")
         assert table.m == TABLE1_M
-        assert table.counts[(None, 1)] == 168112
-        assert table.counts[(None, None)] == 1172652
+        assert table.rows[G] == (168112, 107050, 1172652)
+        assert table == table1()
 
     def test_empty_table(self):
         table = parse_csv("cohort,outcome,count\n")
         assert table.m == 0
-        assert table.counts == {}
+        assert table.rows == ((0, 0, 0),) * (G + 1)
 
     def test_stratified_marginals_match_marginal_table(self):
         stratified = parse_csv(table3_csv())
-        assert len(stratified.counts) == 15
-        assert stratified.pooled().counts == table1().counts
+        assert not any(stratified.rows[G])
+        assert stratified.pooled() == table1()
 
     def test_duplicate_rows_summed(self):
         table = parse_csv("cohort,outcome,count\n0,1,5\n0,1,7\n")
-        assert table.counts[(0, 1)] == 12
+        assert table.rows[0] == (12, 0, 0)
 
     def test_blank_lines_skipped(self):
         table = parse_csv("cohort,outcome,count\n\n0,1,5\n\n")
-        assert table.counts[(0, 1)] == 5
+        assert table.rows[0] == (5, 0, 0)
 
     @pytest.mark.parametrize(
         "body,fragment",
@@ -125,17 +125,20 @@ class TestParseUnits:
 
 
 def _per_row(path, s=2, G=5):
-    """Reference result: parse_units row by row, then sufficient_stats."""
+    """Reference table: parse_units row by row, tabulated by (cohort, outcome)."""
     try:
         with open(path, newline="") as fh:
-            return sufficient_stats(parse_units(fh, s, G), StudyDesign(s=s, G=G))
+            units = parse_units(fh, s, G)
     except ValueError as exc:  # PanelFormatError or UnicodeDecodeError
         return type(exc), str(exc)
+    # k = d for a failure, s + 1 for a censored unit (whose d is s); column k - 1
+    cells = Counter((unit.t_obs, unit.d + unit.censored) for unit in units)
+    return AggregateTable(s, G, [[cells[t, k] for k in range(1, s + 2)] for t in range(G + 1)])
 
 
 def _counted(path, s=2, G=5):
     try:
-        return to_sufficient_stats(count_units(path, s, G))
+        return count_units(path, s, G)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -183,9 +186,9 @@ class TestCountUnits:
     def test_per_row_path_starts_from_zero_counts(self, tmp_path):
         path = tmp_path / "units.csv"
         path.write_bytes(b't,d,censored\n0,1,0\n1,,1\n0,1,0\n"2",2,0\n')
-        stats = to_sufficient_stats(count_units(path, 2, 5))
-        assert (stats.m, stats.m_uncens, stats.duration_sum) == (4, 3, 4)
-        assert stats == _per_row(path)
+        table = count_units(path, 2, 5)
+        assert table.rows[:3] == ((2, 0, 0), (0, 0, 1), (0, 1, 0))
+        assert table == _per_row(path)
 
     def test_valid_file_is_counted_without_per_row_parse(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -196,7 +199,7 @@ class TestCountUnits:
         path = tmp_path / "units.csv"
         path.write_bytes(b"t , d, censored\r\n0,1,0\r\n\n 4 ,,1\n3,2,1\n  \n4,,1\n1,2,0")
         table = count_units(path, 2, 5)
-        assert table.counts == {(0, 1): 1, (4, None): 2, (3, None): 1, (1, 2): 1}
+        assert table.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 0))
 
     def test_per_row_path_counts_without_unit_objects(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -205,15 +208,17 @@ class TestCountUnits:
         monkeypatch.setattr(panel_io, "ObservedUnit", refuse)
         path = tmp_path / "units.csv"
         path.write_bytes(b't,d,censored\n"0",1,0\n1,,1\n0,1,0\n')  # the quoted cell needs the csv rules
-        assert count_units(path, 2, 5).counts == {(0, 1): 2, (1, None): 1}
+        assert count_units(path, 2, 5).rows == ((2, 0, 0), (0, 0, 1), *[(0, 0, 0)] * 4)
 
     def test_reference_panel_as_units(self, tmp_path):
         lines = ["t,d,censored\n"]
-        for (cohort, outcome), count in table3().counts.items():
-            lines += [f"{cohort},{'' if outcome is None else outcome},{int(outcome is None)}\n"] * count
+        for t, (*failures, censored) in enumerate(table3().rows[:G]):
+            for d, count in enumerate(failures, start=1):
+                lines += [f"{t},{d},0\n"] * count
+            lines += [f"{t},,1\n"] * censored
         path = tmp_path / "units.csv"
         path.write_text("".join(lines))
-        assert to_sufficient_stats(count_units(path, S, G)) == to_sufficient_stats(table1())
+        assert count_units(path, S, G) == table3()
 
 
 class TestToSufficientStats:
@@ -240,7 +245,7 @@ class TestToSufficientStats:
 class TestAgeCounts:
     def test_hand_example(self):
         # cohort 0: 3 fail in year 1, 2 censored; cohort 1: 5 fail in year 2
-        table = AggregateTable(s=2, G=2, counts={(0, 1): 3, (0, None): 2, (1, 2): 5})
+        table = AggregateTable(s=2, G=2, rows=[(3, 0, 2), (0, 5, 0), (0, 0, 0)])
         assert age_counts(table) == ([3, 0, 5], [5, 7, 5])
 
     @pytest.mark.parametrize(
@@ -253,9 +258,7 @@ class TestAgeCounts:
         x, t = sample_units(theta, tdist, 20_000, np.random.default_rng(2026))
         code = observe_arrays(x, t, design)  # 0 truncated, d = 1..s, s + 1 censored
         cells = Counter(zip(t.tolist(), code.tolist()))
-        table = AggregateTable(
-            s=s, G=G, counts={(c, None if k > s else k): n for (c, k), n in cells.items() if k > 0}
-        )
+        table = AggregateTable(s, G, [[cells[c, k] for k in range(1, s + 2)] for c in range(G + 1)])
         ages = np.arange(1, design.horizon + 1)[:, None]
         events = ((t < ages) & (ages <= t + s) & (ages == x)).sum(axis=1)
         at_risk = ((t < ages) & (ages <= np.minimum(x, t + s))).sum(axis=1)
@@ -274,22 +277,36 @@ class TestAgeCounts:
         with pytest.raises(ValueError, match="stratified table"):
             age_counts(table1())
 
+    def test_all_zero_marginal_table_is_the_empty_table(self):
+        # nothing in the rows marks a table whose counts are all 0 as marginal
+        empty = parse_csv("cohort,outcome,count\n,1,0\n,cens,0\n")
+        assert empty == parse_csv("cohort,outcome,count\n0,1,0\n")
+        assert age_counts(empty) == ([0] * (S + G - 1), [0] * (S + G - 1))
 
-class TestFromWide:
-    def test_wide_equals_long(self):
-        wide = AggregateTable.from_wide({0: (2, 3, 4)}, s=2, G=5)
-        long = parse_csv("cohort,outcome,count\n0,1,2\n0,2,3\n0,cens,4\n")
-        assert wide.counts == long.counts
+
+class TestAggregateTableRows:
+    def test_rows_equal_long_format(self):
+        table = AggregateTable(2, 5, [[2, 3, 4], *[[0, 0, 0]] * 5])
+        assert table == parse_csv("cohort,outcome,count\n0,1,2\n0,2,3\n0,cens,4\n")
+        assert table.rows[0] == (2, 3, 4)
 
     def test_row_length_checked(self):
-        with pytest.raises(ValueError):
-            AggregateTable.from_wide({0: (1, 2)}, s=2, G=5)
+        with pytest.raises(ValueError, match="6 rows of 3 counts"):
+            AggregateTable(2, 5, [(1, 2), *[(0, 0, 0)] * 5])
+
+    def test_row_count_checked(self):
+        with pytest.raises(ValueError, match="6 rows of 3 counts"):
+            AggregateTable(2, 5, [(0, 0, 0)] * 5)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(PanelFormatError, match="nonnegative, got -1"):
+            AggregateTable(2, 5, [(0, 0, 0), (0, -1, 0), *[(0, 0, 0)] * 4])
 
 
 class TestBundledData:
     def test_data_files_match_reference_tables(self):
-        assert parse_csv(table1_csv()).counts == table1().counts
-        assert parse_csv(table3_csv()).counts == table3().counts
+        assert parse_csv(table1_csv()) == table1()
+        assert parse_csv(table3_csv()) == table3()
 
 
 _LONG_CELL = "9" * (2**17 + 1)  # one over csv.field_size_limit()'s default

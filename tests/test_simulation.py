@@ -156,8 +156,7 @@ class TestRunReplicate:
         reduced = run_replicate(c, tables)
         degenerate_rows = zero_risk_rows = 0
         for k, table in enumerate(tables):
-            wide = dict(enumerate(table[:, 1:].tolist()))
-            stats = to_sufficient_stats(AggregateTable.from_wide(wide, s=s, G=G))
+            stats = to_sufficient_stats(AggregateTable(s, G, [*table[:, 1:].tolist(), [0] * (s + 1)]))
             if stats.risk_time == 0:
                 zero_risk_rows += 1
                 want = (0.0, 0.0, 0.0, True)
@@ -456,6 +455,11 @@ class TestMartingaleDiagnostics:
         assert np.array_equal(diag["at_risk"], at_risk.sum(axis=1))
         assert diag["dm_mean"] == pytest.approx(dm.mean(axis=1), rel=1e-12, abs=1e-15)
         assert diag["dm_se"] == pytest.approx(dm.std(axis=1, ddof=1) / np.sqrt(c.n), rel=1e-9, abs=1e-15)
+
+    def test_one_unit_rejected(self):
+        # the standard error divides by n - 1
+        with pytest.raises(ValueError, match="n >= 2 units"):
+            martingale_diagnostics(config(n=1))
 
 
 class TestValidation:
