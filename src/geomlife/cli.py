@@ -3,8 +3,12 @@
 Machine-readable results go to stdout (or ``--output``); human-readable
 summaries and diagnostics go to stderr.  Exit codes: 0 success, 1 input
 or usage error, 2 degenerate statistical result.  Numbers in machine
-output carry 12 significant digits.  A JSON file passed via ``--config``
-supplies defaults for any flag (command-line flags win).
+output carry 12 significant digits.  ``estimate``, ``simulate`` and
+``check`` write JSON or, with ``--output-format csv``, CSV; ``paths``
+always writes CSV.  ``check`` takes ``--input`` or ``--random`` and
+``simulate`` ``--n`` or ``--n-list``, not both.  A JSON file passed via
+``--config``, before or after the subcommand, supplies defaults for any
+flag (command-line flags win).
 
 ``estimate``, ``check --input`` and ``paths`` run on the standard library
 alone: numpy is imported only by ``simulate`` and ``check --random``, and
@@ -28,18 +32,6 @@ from .model import LatentUnit, StudyDesign, TruncationDist
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DEGENERATE = 2
-
-STUDY_COLUMNS = [
-    "n",
-    "K",
-    "theta0",
-    "mse",
-    "n_times_mse",
-    "asymptotic_n_var",
-    "coverage",
-    "ks_distance",
-    "degenerate_count",
-]
 
 
 def _fmt12(value) -> str:
@@ -216,7 +208,7 @@ def cmd_simulate(args) -> int:
         )
 
     if args.output_format == "csv":
-        _dump_csv(rows, STUDY_COLUMNS, args.output)
+        _dump_csv(rows, list(rows[0]), args.output)
     else:
         _dump_json(rows, args.output)
     return EXIT_OK
@@ -323,12 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default values for any flag")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON file with default values for any flag")
+    def add_common(p, output_format=True):
+        # SUPPRESS: a subcommand without --config keeps the one given before it
+        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file with default values for any flag")
         p.add_argument("--output", help="write machine-readable result to this path")
-        p.add_argument(
-            "--output-format", choices=["json", "csv"], default=None, help="default json"
-        )
+        if output_format:
+            p.add_argument("--output-format", choices=["json", "csv"], default="json", help="default json")
         p.add_argument("--s", type=int, default=None, help="observation-window length in years")
         p.add_argument("--G", type=int, default=None, help="number of foundation cohorts")
 
@@ -336,48 +328,39 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_est)
     p_est.add_argument("--input", default=None)
     p_est.add_argument("--format", choices=["aggregate", "units"], default="aggregate")
-    p_est.add_argument("--level", type=float, default=None, help="confidence level, default 0.95")
+    p_est.add_argument("--level", type=float, default=0.95, help="confidence level, default 0.95")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     add_common(p_sim)
     p_sim.add_argument("--study", choices=["mse", "coverage", "clt"], default=None)
     p_sim.add_argument("--theta0", type=float, default=None)
-    p_sim.add_argument("--n", type=int, default=None, help="latent sample size")
-    p_sim.add_argument("--n-list", default=None, help="comma-separated latent sample sizes")
+    sizes = p_sim.add_mutually_exclusive_group()
+    sizes.add_argument("--n", type=int, default=None, help="latent sample size")
+    sizes.add_argument("--n-list", default=None, help="comma-separated latent sample sizes (mse study)")
     p_sim.add_argument("--K", type=int, default=None, help="replicate count")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--level", type=float, default=None)
+    p_sim.add_argument("--level", type=float, default=0.95)
     p_sim.add_argument("--tdist", default="uniform", help="'uniform' or comma-separated pmf")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_chk = sub.add_parser("check", help="closed-form estimate vs numerical argmax oracle")
     add_common(p_chk)
-    p_chk.add_argument("--input", default=None)
+    cases = p_chk.add_mutually_exclusive_group()
+    cases.add_argument("--input", default=None)
+    cases.add_argument("--random", type=int, default=None, help="number of random cases")
     p_chk.add_argument("--format", choices=["aggregate", "units"], default="aggregate")
-    p_chk.add_argument("--random", type=int, default=None, help="number of random cases")
     p_chk.add_argument("--seed", type=int, default=None)
     p_chk.set_defaults(func=cmd_check)
 
     p_pth = sub.add_parser("paths", help="dump counting-process vectors for one unit")
-    add_common(p_pth)
+    add_common(p_pth, output_format=False)  # always CSV
     p_pth.add_argument("--x", type=int, default=None, help="lifespan in years")
     p_pth.add_argument("--t", type=int, default=None, help="truncation age")
     p_pth.add_argument("--theta", type=float, default=None)
     p_pth.set_defaults(func=cmd_paths)
 
     return parser
-
-
-def _find_config_path(argv: list[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
 
 
 def _config_value(key: str, value, action: argparse.Action):
@@ -394,10 +377,7 @@ def _config_value(key: str, value, action: argparse.Action):
     return converted
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    path = _find_config_path(argv)
-    if path is None:
-        return
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     with open(path) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
@@ -417,21 +397,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         })
 
 
-_BUILTIN_DEFAULTS = {"level": 0.95, "output_format": "json"}
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    try:
-        _apply_config(parser, argv)
-    except (OSError, ValueError, json.JSONDecodeError, IndexError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
     args = parser.parse_args(argv)
-    for key, value in _BUILTIN_DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    if args.config is not None:
+        try:
+            _apply_config(parser, args.config)
+        except (OSError, ValueError) as exc:  # malformed JSON raises a ValueError too
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_INPUT_ERROR
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, NoRiskTimeError, panel_io.PanelFormatError) as exc:

@@ -37,6 +37,9 @@ class SufficientStats:
     s: int
 
     def __post_init__(self):
+        for name in ("m", "m_uncens", "m_cens", "duration_sum"):
+            if type(getattr(self, name)) is not int:  # a bool or a float is not a count
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.m != self.m_uncens + self.m_cens:
             raise ValueError("m must equal m_uncens + m_cens")
         if min(self.m_uncens, self.m_cens, self.duration_sum) < 0:

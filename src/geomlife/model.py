@@ -60,28 +60,30 @@ class StudyDesign:
 
 @dataclass(frozen=True)
 class TruncationDist:
-    """Distribution of the truncation age on support {0, ..., G-1}."""
+    """Distribution of the truncation age on support {0, ..., G-1}.
 
-    pmf: np.ndarray
+    ``pmf`` is stored as a tuple of floats, so that two distributions
+    compare equal and hash alike when their probabilities do.
+    """
+
+    pmf: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        pmf = np.asarray(self.pmf, dtype=float)
+        pmf = tuple(map(float, self.pmf))
         object.__setattr__(self, "pmf", pmf)
-        if pmf.ndim != 1 or pmf.size < 1:
+        if not pmf:
             raise ValueError("truncation pmf must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(pmf)):  # NaN passes both checks below
-            raise ValueError(f"truncation pmf entries must be finite, got {pmf.tolist()!r}")
-        if np.any(pmf < 0.0):
+        if not all(map(math.isfinite, pmf)):  # NaN passes both checks below
+            raise ValueError(f"truncation pmf entries must be finite, got {list(pmf)!r}")
+        if min(pmf) < 0.0:
             raise ValueError("truncation pmf entries must be nonnegative")
-        if abs(pmf.sum() - 1.0) > 1e-12:
-            raise ValueError(f"truncation pmf must sum to 1, got {pmf.sum()!r}")
-        object.__setattr__(self, "_cdf", np.cumsum(pmf))
+        total = math.fsum(pmf)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"truncation pmf must sum to 1, got {total!r}")
 
     @property
     def G(self) -> int:
-        return self.pmf.size
+        return len(self.pmf)
 
     @classmethod
     def uniform(cls, G: int) -> "TruncationDist":
@@ -179,7 +181,7 @@ def sample_units(
     u_t = rng.random(n)
     x = np.ceil(np.log1p(-u_x) / math.log1p(-theta)).astype(np.int64)
     np.maximum(x, 1, out=x)
-    t = np.searchsorted(tdist._cdf, u_t, side="right").astype(np.int64)
+    t = np.searchsorted(np.cumsum(tdist.pmf), u_t, side="right").astype(np.int64)
     np.minimum(t, tdist.G - 1, out=t)
     return x, t
 
@@ -245,4 +247,4 @@ def cell_probabilities(theta: float, design: StudyDesign, tdist: TruncationDist)
     t = np.arange(design.G)[:, None]
     d = np.arange(1, design.s + 1)
     given_cohort = [1.0 - q**t, theta * q ** (t + d - 1), q ** (t + design.s)]
-    return tdist.pmf[:, None] * np.concatenate(given_cohort, axis=1)
+    return np.asarray(tdist.pmf)[:, None] * np.concatenate(given_cohort, axis=1)

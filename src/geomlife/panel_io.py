@@ -58,7 +58,11 @@ class AggregateTable:
         rows = tuple(map(tuple, self.rows))
         if len(rows) != self.G + 1 or set(map(len, rows)) != {self.s + 1}:
             raise ValueError(f"a table with s={self.s}, G={self.G} needs {self.G + 1} rows of {self.s + 1} counts")
-        low = min(chain.from_iterable(rows), default=0)
+        cells = tuple(chain.from_iterable(rows))
+        for count in cells:
+            if type(count) is not int:  # a bool or a float is not a count
+                raise PanelFormatError(f"counts must be integers, got {count!r}")
+        low = min(cells, default=0)
         if low < 0:
             raise PanelFormatError(f"counts must be nonnegative, got {low}")
         object.__setattr__(self, "rows", rows)

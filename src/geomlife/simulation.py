@@ -126,7 +126,7 @@ def expected_risk_profile(
     ages = np.arange(1, design.horizon + 1)
     t = np.arange(design.G)[:, None]
     at_risk = (t < ages) & (ages <= t + design.s)
-    return np.asarray((tdist.pmf[:, None] * at_risk * q ** (ages - 1)).sum(axis=0))
+    return (np.asarray(tdist.pmf)[:, None] * at_risk * q ** (ages - 1)).sum(axis=0)
 
 
 def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:

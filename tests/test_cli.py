@@ -10,6 +10,11 @@ from geomlife.cli import _json_ready, main
 from helpers import table1_csv, table3_csv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DESIGN_FLAGS = ["--s", "2", "--G", "5"]
+SIMULATE = ["simulate", "--theta0", "0.1", *DESIGN_FLAGS, "--K", "2", "--seed", "1"]
+MSE_STUDY = ["simulate", "--study", "mse", "--theta0", "0.1", *DESIGN_FLAGS, "--n-list", "50,1000", "--K", "50",
+             "--seed", "33"]
 
 
 @pytest.fixture
@@ -410,6 +415,32 @@ class TestUsageErrors:
         assert captured.err.startswith("usage: geomlife")
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["paths", "--x", "4", "--t", "3", "--theta", "0.1", *DESIGN_FLAGS, "--output-format", "json"],
+             "geomlife: error: unrecognized arguments: --output-format json"),
+            (["check", "--input", str(DATA / "table1.csv"), "--random", "3", "--seed", "1", *DESIGN_FLAGS],
+             "geomlife check: error: argument --random: not allowed with argument --input"),
+            ([*SIMULATE, "--study", "coverage", "--n", "100", "--n-list", "5,6"],
+             "geomlife simulate: error: argument --n-list: not allowed with argument --n"),
+            ([*SIMULATE, "--study", "mse", "--n-list", "5,6", "--n", "100"],
+             "geomlife simulate: error: argument --n: not allowed with argument --n-list"),
+            (["estimate", "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS, "--config"],
+             "geomlife estimate: error: argument --config: expected one argument"),
+            (["--config"], "geomlife: error: argument --config: expected one argument"),
+        ],
+        ids=["paths-output-format", "check-input-and-random", "simulate-n-and-n-list", "simulate-n-list-and-n",
+             "config-without-path", "top-level-config-without-path"],
+    )
+    def test_ignored_or_incomplete_flag(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert captured.err.startswith("usage: geomlife")
+        assert message in captured.err
+
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -455,12 +486,8 @@ class TestPaths:
         assert at_risk == ["4", "5"]
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-DESIGN_FLAGS = ["--s", "2", "--G", "5"]
-
-
 class TestGoldenOutput:
-    """Recorded stdout of ``check`` and ``paths``, compared byte for byte."""
+    """Recorded stdout of ``check``, ``paths``, ``simulate`` and ``estimate``, compared byte for byte."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -473,12 +500,24 @@ class TestGoldenOutput:
             ("paths_cens", ["paths", "--x", "10", "--t", "3", "--theta", "0.3", *DESIGN_FLAGS]),
             ("paths_trunc", ["paths", "--x", "2", "--t", "4", "--theta", "0.3", *DESIGN_FLAGS]),
             ("paths_s3", ["paths", "--x", "5", "--t", "1", "--theta", "0.7", "--s", "3", "--G", "4"]),
+            ("simulate_mse", MSE_STUDY),
+            ("simulate_mse_csv", [*MSE_STUDY, "--output-format", "csv"]),
         ],
     )
     def test_stdout_matches_the_recording(self, capsys, name, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+    @pytest.mark.parametrize("before", [True, False], ids=["config-first", "subcommand-first"])
+    def test_config_before_or_after_subcommand(self, capsys, tmp_path, before):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": 2, "G": 5, "level": 0.9, "output-format": "csv"}))
+        estimate = ["estimate", "--input", str(DATA / "table3.csv")]
+        argv = ["--config", str(cfg), *estimate] if before else [*estimate, "--config", str(cfg)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / "estimate_table3_config.out").read_bytes()
 
 
 class TestConfigFile:
@@ -518,6 +557,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"s": 2, "G": 5, "n-list": "100,200", "theta0": 0.1}))
         code, _, _ = run(capsys, "estimate", "--config", str(cfg), "--input", str(table1_path))
         assert code == 0
+
+    def test_config_values_are_not_flags_for_exclusive_groups(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-list": "5,6"}))
+        code, out, _ = run(capsys, *SIMULATE, "--config", str(cfg), "--study", "coverage", "--n", "50")
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)] == [50]
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "estimate", "--config", "/nonexistent.json")

@@ -79,6 +79,11 @@ class TestSufficientStats:
         with pytest.raises(ValueError):
             sufficient_stats([ObservedUnit(t_obs=0, d=1, censored=True)], design)
 
+    @pytest.mark.parametrize("count", [1.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"m_uncens must be an integer, got {count!r}"):
+            SufficientStats(m=1, m_uncens=count, m_cens=0, duration_sum=1, s=2)
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             SufficientStats(m=2, m_uncens=2, m_cens=1, duration_sum=2, s=2)

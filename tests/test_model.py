@@ -252,6 +252,17 @@ class TestTypes:
             TruncationDist(np.array([-0.1, 1.1]))
         assert TruncationDist.uniform(5).G == 5
 
+    def test_truncation_dist_message_names_the_sum(self):
+        with pytest.raises(ValueError, match=r"must sum to 1, got 1\.35$"):
+            TruncationDist([0.5, 0.6, 0.25])
+
+    def test_truncation_dist_equality_and_hash(self):
+        assert TruncationDist.uniform(5) == TruncationDist.uniform(5)
+        assert hash(TruncationDist.uniform(5)) == hash(TruncationDist.uniform(5))
+        assert TruncationDist(np.array([0.5, 0.5])) == TruncationDist([0.5, 0.5])
+        assert TruncationDist.uniform(2) != TruncationDist([0.25, 0.75])
+        assert TruncationDist([0.5, 0.5]).pmf == (0.5, 0.5)
+
     @pytest.mark.parametrize("pmf", [[math.nan, 0.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [math.nan]])
     def test_truncation_dist_rejects_non_finite(self, pmf):
         # NaN compares False both to 0 and in |sum - 1| > tol, so it needs its own check

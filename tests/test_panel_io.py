@@ -302,6 +302,11 @@ class TestAggregateTableRows:
         with pytest.raises(PanelFormatError, match="nonnegative, got -1"):
             AggregateTable(2, 5, [(0, 0, 0), (0, -1, 0), *[(0, 0, 0)] * 4])
 
+    @pytest.mark.parametrize("count", [1.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(PanelFormatError, match=f"counts must be integers, got {count!r}"):
+            AggregateTable(2, 5, [[count, 0, 2], *[[0, 0, 0]] * 5])
+
 
 class TestBundledData:
     def test_data_files_match_reference_tables(self):

@@ -386,6 +386,11 @@ class TestStudies:
         ]
         assert row["n"] == 500 and row["K"] == 20
 
+    def test_equal_configs_compare_equal(self):
+        assert config(seed=3) == config(seed=3)
+        assert hash(config(seed=3)) == hash(config(seed=3))
+        assert config(seed=3) != config(seed=4)
+
     def test_same_seed_rerun_is_identical(self):
         c = config(n=800, K=24, seed=77)
         first, second = run_study(c), run_study(c)
