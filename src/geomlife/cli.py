@@ -257,7 +257,7 @@ def cmd_check(args) -> int:
     worst = 0.0
     degenerate = False
     for idx, stats in enumerate(cases):
-        if stats.risk_time == 0 or stats.m_uncens == 0:
+        if stats.m_uncens in (0, stats.risk_time):  # theta_hat 0, 1 or undefined: off the oracle's grid
             degenerate = True
             sys.stderr.write(f"case {idx}: degenerate stats, skipping oracle comparison\n")
             continue
@@ -377,8 +377,15 @@ def _config_value(key: str, value, action: argparse.Action):
     return converted
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    with open(path) as fh:
+def _apply_config(parser: argparse.ArgumentParser, given: argparse.Namespace) -> None:
+    """Set the parser's defaults from the ``--config`` file that ``given`` names.
+
+    ``given`` is the command line parsed before the config was read.  A
+    flag given there beats its config value, and so does any other member
+    of its mutually exclusive group: a config value for the other member
+    would be a default the command reads in place of the given flag.
+    """
+    with open(given.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
@@ -388,13 +395,20 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     unknown = [key for dest, (key, _) in by_dest.items() if dest not in known]
     if unknown:
         raise ValueError(f"--config file has unknown key(s): {', '.join(map(repr, unknown))}")
-    # Defaults lose to explicit flags, which is exactly the precedence wanted.
     for sub in subparsers:
-        sub.set_defaults(**{
+        held = {  # each group with a member on the command line; members default to None
+            action.dest
+            for group in sub._mutually_exclusive_groups
+            if any(getattr(given, member.dest, None) is not None for member in group._group_actions)
+            for action in group._group_actions
+        }
+        values = {
             action.dest: _config_value(*by_dest[action.dest], action)
             for action in sub._actions
             if action.dest in by_dest
-        })
+        }
+        # Defaults lose to explicit flags, which is exactly the precedence wanted.
+        sub.set_defaults(**{dest: value for dest, value in values.items() if dest not in held})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -402,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None:
         try:
-            _apply_config(parser, args.config)
+            _apply_config(parser, args)
         except (OSError, ValueError) as exc:  # malformed JSON raises a ValueError too
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INPUT_ERROR

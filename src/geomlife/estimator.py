@@ -141,16 +141,11 @@ def var_hat(stats: SufficientStats, theta: float) -> float:
 _STANDARD_NORMAL = NormalDist()
 
 
-def normal_quantile(p: float) -> float:
-    """Standard-normal quantile (Wichura's AS241, accurate to machine precision)."""
-    return _STANDARD_NORMAL.inv_cdf(p)
-
-
 def wald_ci(theta: float, se: float, level: float) -> tuple[float, float]:
     """theta +/- z * se, clipped to [0, 1]."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    z = normal_quantile((1.0 + level) / 2.0)
+    z = _STANDARD_NORMAL.inv_cdf((1.0 + level) / 2.0)  # Wichura's AS241, accurate to machine precision
     lo = max(0.0, theta - z * se)
     hi = min(1.0, theta + z * se)
     return lo, hi

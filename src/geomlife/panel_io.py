@@ -8,6 +8,14 @@ summed.  A table is either marginal (every ``cohort`` empty) or stratified
 (none empty); mixing the two would count units twice and is an error.
 Unit-level files use header ``t,d,censored``.
 
+Both formats are read by one reader: ``_data_rows`` checks the header
+(``_check_header``), skips blank rows and strips the three cells of every
+other row (``_cells``), and each integer cell is parsed by ``_integer``, so
+an error names the same line and wording in either format.  The byte-level
+fast path of :func:`count_units` applies the same header, row and cell
+rules to each distinct line, and both of its paths tally one ``Counter``
+of ``(t, d, censored)``.
+
 Every input becomes one :class:`AggregateTable`, G + 1 rows of s + 1
 exact ints: row t is cohort t, row G a marginal table's counts; columns
 are failure in window year 1..s, then censored.
@@ -77,8 +85,25 @@ class AggregateTable:
         return AggregateTable(self.s, self.G, [*[zero] * self.G, map(sum, zip(*self.rows))])
 
 
-def _csv_rows(stream: io.TextIOBase):
-    """``(line, row)`` for each row of ``csv.reader``.
+def _check_header(header: list[str] | None, expected: list[str]) -> None:
+    """Raise unless the header row (None for empty input) is ``expected``, up to padding."""
+    if header is None:
+        raise PanelFormatError(f"empty input; expected header {','.join(expected)}")
+    if [h.strip() for h in header] != expected:
+        raise PanelFormatError(f"expected header {','.join(expected)}, got {','.join(header)}", line=1)
+
+
+def _cells(row: list[str], lineno: int | None) -> list[str] | None:
+    """The stripped cells of a row of three fields; None for a blank row, an error for other widths."""
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    if len(row) != 3:
+        raise PanelFormatError(f"expected 3 fields, got {len(row)}", line=lineno)
+    return [cell.strip() for cell in row]
+
+
+def _data_rows(stream: io.TextIOBase, header: list[str]):
+    """``(line, cells)`` for each non-blank row of ``csv.reader`` after a checked header.
 
     ``line`` is the physical line the row ends on, which differs from the
     row count after a quoted cell spanning lines.  A csv-level error
@@ -86,40 +111,31 @@ def _csv_rows(stream: io.TextIOBase):
     """
     reader = csv.reader(stream)
     try:
+        _check_header(next(reader, None), header)
         for row in reader:
-            yield reader.line_num, row
+            cells = _cells(row, reader.line_num)
+            if cells is not None:
+                yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
 
 
+def _integer(raw: str, name: str, lineno: int | None, expected: str = "is not an integer") -> int:
+    """``int(raw)``, or a PanelFormatError that reads ``{name} {raw!r} {expected}``."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise PanelFormatError(f"{name} {raw!r} {expected}", line=lineno) from None
+
+
 def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     """Parse and validate a long-format aggregate CSV."""
-    reader = _csv_rows(stream)
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise PanelFormatError("empty input; expected header cohort,outcome,count")
-    if [h.strip() for h in header] != AGGREGATE_HEADER:
-        raise PanelFormatError(f"expected header {','.join(AGGREGATE_HEADER)}, got {','.join(header)}", line=1)
-
     rows = [[0] * (s + 1) for _ in range(G + 1)]
     marginal = None  # kind of the first data row; every later row must match
-    for lineno, row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise PanelFormatError(f"expected 3 fields, got {len(row)}", line=lineno)
-        raw_cohort, raw_outcome, raw_count = (cell.strip() for cell in row)
-
-        if raw_cohort == "":
-            cohort = None
-        else:
-            try:
-                cohort = int(raw_cohort)
-            except ValueError:
-                raise PanelFormatError(f"cohort {raw_cohort!r} is not an integer", line=lineno)
-            if not 0 <= cohort <= G - 1:
-                raise PanelFormatError(f"cohort {cohort} outside 0..{G - 1}", line=lineno)
+    for lineno, (raw_cohort, raw_outcome, raw_count) in _data_rows(stream, AGGREGATE_HEADER):
+        cohort = None if raw_cohort == "" else _integer(raw_cohort, "cohort", lineno)
+        if cohort is not None and not 0 <= cohort <= G - 1:
+            raise PanelFormatError(f"cohort {cohort} outside 0..{G - 1}", line=lineno)
         if marginal is None:
             marginal = cohort is None
         elif marginal != (cohort is None):
@@ -133,20 +149,12 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
         if raw_outcome == CENSORED_OUTCOME:
             column = s
         else:
-            try:
-                outcome = int(raw_outcome)
-            except ValueError:
-                raise PanelFormatError(
-                    f"outcome {raw_outcome!r} must be 1..{s} or {CENSORED_OUTCOME!r}", line=lineno
-                )
+            outcome = _integer(raw_outcome, "outcome", lineno, f"must be 1..{s} or {CENSORED_OUTCOME!r}")
             if not 1 <= outcome <= s:
                 raise PanelFormatError(f"outcome {outcome} outside 1..{s}", line=lineno)
             column = outcome - 1
 
-        try:
-            count = int(raw_count)
-        except ValueError:
-            raise PanelFormatError(f"count {raw_count!r} is not an integer", line=lineno)
+        count = _integer(raw_count, "count", lineno)
         if count < 0:
             raise PanelFormatError(f"count must be nonnegative, got {count}", line=lineno)
 
@@ -155,18 +163,10 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     return AggregateTable(s, G, rows)
 
 
-def _unit_row(row: list[str], s: int, G: int, lineno: int | None) -> tuple[int, int, bool] | None:
-    """Validate one ``t,d,censored`` row; ``(t, d, censored)``, or None if blank."""
-    if not row or all(not cell.strip() for cell in row):
-        return None
-    if len(row) != 3:
-        raise PanelFormatError(f"expected 3 fields, got {len(row)}", line=lineno)
-    raw_t, raw_d, raw_censored = (cell.strip() for cell in row)
-
-    try:
-        t = int(raw_t)
-    except ValueError:
-        raise PanelFormatError(f"t {raw_t!r} is not an integer", line=lineno)
+def _unit_row(cells: list[str], s: int, G: int, lineno: int | None) -> tuple[int, int, bool]:
+    """Validate the stripped cells of one ``t,d,censored`` row into ``(t, d, censored)``."""
+    raw_t, raw_d, raw_censored = cells
+    t = _integer(raw_t, "t", lineno)
     if not 0 <= t <= G - 1:
         raise PanelFormatError(f"t {t} outside 0..{G - 1}", line=lineno)
 
@@ -174,39 +174,18 @@ def _unit_row(row: list[str], s: int, G: int, lineno: int | None) -> tuple[int, 
         raise PanelFormatError(f"censored must be 0 or 1, got {raw_censored!r}", line=lineno)
     censored = raw_censored == "1"
 
-    if censored:
-        if raw_d == "":
-            d = s
-        else:
-            try:
-                d = int(raw_d)
-            except ValueError:
-                raise PanelFormatError(f"d {raw_d!r} is not an integer", line=lineno)
-            if d != s:
-                raise PanelFormatError(f"censored unit must have d = s = {s} or empty, got {d}", line=lineno)
-    else:
-        try:
-            d = int(raw_d)
-        except ValueError:
-            raise PanelFormatError(f"d {raw_d!r} is not an integer", line=lineno)
-        if not 1 <= d <= s:
-            raise PanelFormatError(f"uncensored d {d} outside 1..{s}", line=lineno)
+    d = s if censored and raw_d == "" else _integer(raw_d, "d", lineno)
+    if censored and d != s:
+        raise PanelFormatError(f"censored unit must have d = s = {s} or empty, got {d}", line=lineno)
+    if not 1 <= d <= s:
+        raise PanelFormatError(f"uncensored d {d} outside 1..{s}", line=lineno)
     return t, d, censored
 
 
 def _unit_rows(stream: io.TextIOBase, s: int, G: int):
     """Validated ``(t, d, censored)`` for each non-blank row of a ``t,d,censored`` CSV."""
-    reader = _csv_rows(stream)
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise PanelFormatError("empty input; expected header t,d,censored")
-    if [h.strip() for h in header] != UNITS_HEADER:
-        raise PanelFormatError(f"expected header {','.join(UNITS_HEADER)}, got {','.join(header)}", line=1)
-    for lineno, row in reader:
-        parsed = _unit_row(row, s, G, lineno)
-        if parsed is not None:
-            yield parsed
+    for lineno, cells in _data_rows(stream, UNITS_HEADER):
+        yield _unit_row(cells, s, G, lineno)
 
 
 def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
@@ -241,29 +220,26 @@ def _plain_fields(line: bytes, encoding: str) -> list[str] | None:
     return text.split(",") if text else []
 
 
-def _count_distinct_lines(raw: io.BufferedIOBase, encoding: str, s: int, G: int) -> AggregateTable | None:
-    """Tabulate a unit file by validating each distinct line once.
+def _count_distinct_lines(raw: io.BufferedIOBase, encoding: str, s: int, G: int) -> Counter | None:
+    """Count a unit file's ``(t, d, censored)`` by validating each distinct line once.
 
     Returns None when the header or any distinct line is not a plain,
-    valid row; the caller then parses the file row by row, which reports
+    valid row; the caller then reads the file row by row, which reports
     the first error with its line number.
     """
-    header = _plain_fields(raw.readline(), encoding)
-    if header is None or [h.strip() for h in header] != UNITS_HEADER:
+    units = Counter()
+    try:
+        _check_header(_plain_fields(raw.readline(), encoding), UNITS_HEADER)
+        for line, n in Counter(raw).items():
+            row = _plain_fields(line, encoding)
+            if row is None:
+                return None
+            cells = _cells(row, None)
+            if cells is not None:
+                units[_unit_row(cells, s, G, None)] += n
+    except PanelFormatError:
         return None
-    rows = [[0] * (s + 1) for _ in range(G + 1)]
-    for line, n in Counter(raw).items():
-        row = _plain_fields(line, encoding)
-        if row is None:
-            return None
-        try:
-            parsed = _unit_row(row, s, G, lineno=None)
-        except PanelFormatError:
-            return None
-        if parsed is not None:
-            t, d, censored = parsed
-            rows[t][s if censored else d - 1] += n
-    return AggregateTable(s, G, rows)
+    return units
 
 
 def count_units(path, s: int, G: int) -> AggregateTable:
@@ -276,14 +252,16 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     per-row path, which counts the rows as they are read.
     """
     with open(path, newline="") as fh:
+        units = None
         if fh.seekable() and codecs.lookup(fh.encoding).name in _LINE_SPLITTABLE_ENCODINGS:
-            table = _count_distinct_lines(fh.buffer, fh.encoding, s, G)
-            if table is not None:
-                return table
-            fh.seek(0)
-        rows = [[0] * (s + 1) for _ in range(G + 1)]
-        for t, d, censored in _unit_rows(fh, s, G):
-            rows[t][s if censored else d - 1] += 1
+            units = _count_distinct_lines(fh.buffer, fh.encoding, s, G)
+            if units is None:
+                fh.seek(0)
+        if units is None:
+            units = Counter(_unit_rows(fh, s, G))
+    rows = [[0] * (s + 1) for _ in range(G + 1)]
+    for (t, d, censored), n in units.items():
+        rows[t][s if censored else d - 1] += n
     return AggregateTable(s, G, rows)
 
 

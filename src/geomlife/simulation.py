@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
-from .estimator import SufficientStats, normal_quantile
+from .estimator import SufficientStats
 from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
@@ -48,11 +49,7 @@ class SimConfig:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
-        if self.tdist.G != self.design.G:
-            raise ValueError(
-                f"truncation pmf has {self.tdist.G} entries but design has G={self.design.G}"
-            )
-        # one set of cell probabilities serves every replicate of the study
+        # one set of cell probabilities serves every replicate of the study; it checks the pmf's G
         cells = cell_probabilities(self.theta0, self.design, self.tdist)
         object.__setattr__(self, "_cells", cells.ravel())
 
@@ -192,7 +189,7 @@ def run_replicate(
     observed = risk > 0
     theta = np.divide(m_uncens, risk, out=np.zeros(risk.shape), where=observed)
     var = np.divide(theta * (1.0 - theta), risk, out=np.zeros(risk.shape), where=observed)
-    half = normal_quantile((1.0 + config.level) / 2.0) * np.sqrt(var)  # z * se, as in wald_ci
+    half = NormalDist().inv_cdf((1.0 + config.level) / 2.0) * np.sqrt(var)  # z * se, as in wald_ci
     return theta, np.maximum(0.0, theta - half), np.minimum(1.0, theta + half), m_uncens == 0
 
 

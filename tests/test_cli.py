@@ -354,6 +354,17 @@ class TestCheck:
         assert code == 2
         assert "degenerate" in err
 
+    def test_theta_hat_one_is_degenerate(self, capsys, tmp_path):
+        # every unit fails in year 1: theta_hat = 1, an end the oracle's grid stops short of
+        path = tmp_path / "all_fail.csv"
+        path.write_text("cohort,outcome,count\n,1,10\n")
+        code, out, err = run(capsys, "check", "--input", str(path), "--s", "2", "--G", "5")
+        assert (code, json.loads(out)) == (2, [])
+        assert err == (
+            "case 0: degenerate stats, skipping oracle comparison\n"
+            "checked 0 case(s), max |closed-form - argmax| = 0\n"
+        )
+
 
 class TestDesignFlags:
     """A bad --s, --G or --level is named before any row of the input is read."""
@@ -564,6 +575,20 @@ class TestConfigFile:
         code, out, _ = run(capsys, *SIMULATE, "--config", str(cfg), "--study", "coverage", "--n", "50")
         assert code == 0
         assert [row["n"] for row in json.loads(out)] == [50]
+
+    def test_explicit_n_beats_a_config_n_list(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-list": "100,200"}))
+        code, out, _ = run(capsys, *SIMULATE, "--config", str(cfg), "--study", "mse", "--n", "50")
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)] == [50]
+
+    def test_explicit_random_beats_a_config_input(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(DATA / "table1.csv"), "G": 5}))
+        code, out, _ = run(capsys, "check", "--config", str(cfg), "--random", "2", "--seed", "1", "--s", "2")
+        assert code == 0
+        assert [row["case"] for row in json.loads(out)] == [0, 1]
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "estimate", "--config", "/nonexistent.json")

@@ -11,7 +11,6 @@ from geomlife.estimator import (
     NoRiskTimeError,
     SufficientStats,
     estimate,
-    normal_quantile,
     sufficient_stats,
     theta_hat,
     var_hat,
@@ -155,8 +154,11 @@ class TestVarHat:
 
 class TestWaldCi:
     def test_quantile_accuracy(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-        assert normal_quantile(0.975) == pytest.approx(1.95996398454, abs=1e-8)
+        lo, hi = wald_ci(0.5, 0.01, 0.95)
+        z = (hi - 0.5) / 0.01  # the half-width over se is the 0.975 normal quantile
+        assert z == pytest.approx(1.959964, abs=1e-6)
+        assert z == pytest.approx(1.95996398454, abs=1e-8)
+        assert (0.5 - lo) / 0.01 == pytest.approx(1.95996398454, abs=1e-8)
 
     def test_table_interval(self):
         th = theta_hat(TABLE1_STATS)
