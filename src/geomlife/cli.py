@@ -6,9 +6,9 @@ or usage error, 2 degenerate statistical result.  Numbers in machine
 output carry 12 significant digits.  ``estimate``, ``simulate`` and
 ``check`` write JSON or, with ``--output-format csv``, CSV; ``paths``
 always writes CSV.  ``check`` takes ``--input`` or ``--random`` and
-``simulate`` ``--n`` or ``--n-list``, not both.  A JSON file passed via
-``--config``, before or after the subcommand, supplies defaults for any
-flag (command-line flags win).
+``simulate`` ``--n`` or ``--n-list``, not both; ``check`` rejects a flag
+its mode does not read.  A JSON file passed via ``--config``, before or
+after the subcommand, supplies defaults for any flag (command-line flags win).
 
 ``estimate``, ``check --input`` and ``paths`` run on the standard library
 alone: numpy is imported only by ``simulate`` and ``check --random``, and
@@ -26,7 +26,7 @@ import numbers
 import sys
 
 from . import panel_io
-from .estimator import NoRiskTimeError, SufficientStats, estimate, theta_hat
+from .estimator import SufficientStats, estimate, theta_hat
 from .model import LatentUnit, StudyDesign, TruncationDist
 
 EXIT_OK = 0
@@ -284,6 +284,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if worst <= 1e-6 else EXIT_INPUT_ERROR
 
 
+def _reject_unread_check_flags(args, given) -> None:
+    """Raise if ``given``, the command line before any ``--config``, has a flag the ``check`` mode ignores."""
+    for mode, unread in (("input", ["seed"]), ("random", ["G", "format"])):
+        flags = [f"--{dest}" for dest in unread if getattr(given, dest) is not None]
+        if getattr(args, mode) is not None and flags:
+            raise ValueError(f"check --{mode} does not use {', '.join(flags)}")
+
+
 def cmd_paths(args) -> int:
     from .paths import PATH_COLUMNS, build_paths
 
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     cases = p_chk.add_mutually_exclusive_group()
     cases.add_argument("--input", default=None)
     cases.add_argument("--random", type=int, default=None, help="number of random cases")
-    p_chk.add_argument("--format", choices=["aggregate", "units"], default="aggregate")
+    p_chk.add_argument("--format", choices=["aggregate", "units"], default=None, help="default aggregate")
     p_chk.add_argument("--seed", type=int, default=None)
     p_chk.set_defaults(func=cmd_check)
 
@@ -413,17 +421,19 @@ def _apply_config(parser: argparse.ArgumentParser, given: argparse.Namespace) ->
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = given = parser.parse_args(argv)
     if args.config is not None:
         try:
-            _apply_config(parser, args)
+            _apply_config(parser, given)
         except (OSError, ValueError) as exc:  # malformed JSON raises a ValueError too
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INPUT_ERROR
         args = parser.parse_args(argv)
     try:
+        if args.subcommand == "check":
+            _reject_unread_check_flags(args, given)
         return args.func(args)
-    except (OSError, ValueError, NoRiskTimeError, panel_io.PanelFormatError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

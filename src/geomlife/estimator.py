@@ -16,8 +16,7 @@ estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
+from typing import NamedTuple
 
 from .model import ObservedUnit, StudyDesign, check_theta, life_expectancy
 
@@ -26,31 +25,29 @@ class NoRiskTimeError(ValueError):
     """Raised when estimation is requested with zero observed risk time."""
 
 
-@dataclass(frozen=True)
-class SufficientStats:
+class SufficientStats(
+    NamedTuple("SufficientStats", [("m", int), ("m_uncens", int), ("m_cens", int), ("duration_sum", int), ("s", int)])
+):
     """Everything the estimator needs: counts and the uncensored duration sum."""
 
-    m: int
-    m_uncens: int
-    m_cens: int
-    duration_sum: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "m_uncens", "m_cens", "duration_sum"):
-            if type(getattr(self, name)) is not int:  # a bool or a float is not a count
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.m != self.m_uncens + self.m_cens:
+    def __new__(cls, m: int, m_uncens: int, m_cens: int, duration_sum: int, s: int):
+        for name, value in zip(cls._fields, (m, m_uncens, m_cens, duration_sum)):
+            if type(value) is not int:  # a bool or a float is not a count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if m != m_uncens + m_cens:
             raise ValueError("m must equal m_uncens + m_cens")
-        if min(self.m_uncens, self.m_cens, self.duration_sum) < 0:
+        if min(m_uncens, m_cens, duration_sum) < 0:
             raise ValueError("counts must be nonnegative")
-        if self.s < 1:
+        if s < 1:
             raise ValueError("window length s must be >= 1")
-        if not self.m_uncens <= self.duration_sum <= self.s * self.m_uncens:
+        if not m_uncens <= duration_sum <= s * m_uncens:
             raise ValueError(
-                f"duration_sum {self.duration_sum} incompatible with "
-                f"{self.m_uncens} uncensored units and s={self.s}"
+                f"duration_sum {duration_sum} incompatible with "
+                f"{m_uncens} uncensored units and s={s}"
             )
+        return super().__new__(cls, m, m_uncens, m_cens, duration_sum, s)
 
     @property
     def risk_time(self) -> int:
@@ -58,8 +55,7 @@ class SufficientStats:
         return self.duration_sum + self.s * self.m_cens
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     theta_hat: float
     var_hat: float
     se: float
@@ -138,14 +134,13 @@ def var_hat(stats: SufficientStats, theta: float) -> float:
     return theta * (1.0 - theta) / R
 
 
-_STANDARD_NORMAL = NormalDist()
-
-
 def wald_ci(theta: float, se: float, level: float) -> tuple[float, float]:
     """theta +/- z * se, clipped to [0, 1]."""
+    from statistics import NormalDist  # here, so that check and paths never import statistics
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    z = _STANDARD_NORMAL.inv_cdf((1.0 + level) / 2.0)  # Wichura's AS241, accurate to machine precision
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)  # Wichura's AS241, accurate to machine precision
     lo = max(0.0, theta - z * se)
     hi = min(1.0, theta + z * se)
     return lo, hi

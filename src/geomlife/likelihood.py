@@ -15,7 +15,7 @@ on the closed-form estimator; it never uses the m_uncens / R formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .estimator import NoRiskTimeError, SufficientStats
 from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
@@ -23,8 +23,7 @@ from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class LogLikProfile:
+class LogLikProfile(NamedTuple):
     """Grid of theta values, log-likelihood values, and the refined argmax."""
 
     grid: tuple[float, ...]

@@ -11,13 +11,14 @@ right-censored.
 
 numpy is imported inside the functions that build arrays, so the scalar
 half of this module (designs, units, ``observe``) costs no numpy import.
+Records are ``typing.NamedTuple`` classes (invariants checked in ``__new__``),
+so ``estimate``, ``check --input`` and ``paths`` never import ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,8 +36,7 @@ def check_theta(theta: float, eps: float = 0.0) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class StudyDesign:
+class StudyDesign(NamedTuple("StudyDesign", [("s", int), ("G", int)])):
     """Observation-window length ``s`` and cohort count ``G``.
 
     ``horizon = s + G - 1`` bounds the age index of per-unit path vectors;
@@ -44,33 +44,31 @@ class StudyDesign:
     or fail.  It does not limit sampled lifespans.
     """
 
-    s: int
-    G: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"window length s must be >= 1, got {self.s}")
-        if self.G < 1:
-            raise ValueError(f"cohort count G must be >= 1, got {self.G}")
+    def __new__(cls, s: int, G: int):
+        if s < 1:
+            raise ValueError(f"window length s must be >= 1, got {s}")
+        if G < 1:
+            raise ValueError(f"cohort count G must be >= 1, got {G}")
+        return super().__new__(cls, s, G)
 
     @property
     def horizon(self) -> int:
         return self.s + self.G - 1
 
 
-@dataclass(frozen=True)
-class TruncationDist:
+class TruncationDist(NamedTuple("TruncationDist", [("pmf", tuple[float, ...])])):
     """Distribution of the truncation age on support {0, ..., G-1}.
 
     ``pmf`` is stored as a tuple of floats, so that two distributions
     compare equal and hash alike when their probabilities do.
     """
 
-    pmf: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pmf = tuple(map(float, self.pmf))
-        object.__setattr__(self, "pmf", pmf)
+    def __new__(cls, pmf):
+        pmf = tuple(map(float, pmf))
         if not pmf:
             raise ValueError("truncation pmf must be a non-empty 1-d vector")
         if not all(map(math.isfinite, pmf)):  # NaN passes both checks below
@@ -80,6 +78,7 @@ class TruncationDist:
         total = math.fsum(pmf)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"truncation pmf must sum to 1, got {total!r}")
+        return super().__new__(cls, pmf)
 
     @property
     def G(self) -> int:
@@ -100,22 +99,20 @@ class TruncationDist:
         return cls(pmf)
 
 
-@dataclass(frozen=True)
-class LatentUnit:
+class LatentUnit(NamedTuple("LatentUnit", [("x", int), ("t", int)])):
     """A latent draw: lifespan ``x`` and truncation age ``t``."""
 
-    x: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x < 1:
-            raise ValueError(f"lifespan x must be >= 1, got {self.x}")
-        if self.t < 0:
-            raise ValueError(f"truncation age t must be >= 0, got {self.t}")
+    def __new__(cls, x: int, t: int):
+        if x < 1:
+            raise ValueError(f"lifespan x must be >= 1, got {x}")
+        if t < 0:
+            raise ValueError(f"truncation age t must be >= 0, got {t}")
+        return super().__new__(cls, x, t)
 
 
-@dataclass(frozen=True)
-class ObservedUnit:
+class ObservedUnit(NamedTuple):
     """What the panel records for a unit that survived into the window.
 
     ``d`` is the duration in study: the failure year counted from

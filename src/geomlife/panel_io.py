@@ -27,8 +27,8 @@ import codecs
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .estimator import SufficientStats
 from .model import ObservedUnit
@@ -49,8 +49,7 @@ class PanelFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class AggregateTable:
+class AggregateTable(NamedTuple("AggregateTable", [("s", int), ("G", int), ("rows", tuple[tuple[int, ...], ...])])):
     """A (cohort x outcome) count table: ``rows``, G + 1 tuples of s + 1 ints.
 
     ``rows[t][d - 1]`` counts the units of cohort t that fail in window
@@ -58,14 +57,12 @@ class AggregateTable:
     holds the counts of a marginal table, whose units carry no cohort.
     """
 
-    s: int
-    G: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        if len(rows) != self.G + 1 or set(map(len, rows)) != {self.s + 1}:
-            raise ValueError(f"a table with s={self.s}, G={self.G} needs {self.G + 1} rows of {self.s + 1} counts")
+    def __new__(cls, s: int, G: int, rows):
+        rows = tuple(map(tuple, rows))
+        if len(rows) != G + 1 or set(map(len, rows)) != {s + 1}:
+            raise ValueError(f"a table with s={s}, G={G} needs {G + 1} rows of {s + 1} counts")
         cells = tuple(chain.from_iterable(rows))
         for count in cells:
             if type(count) is not int:  # a bool or a float is not a count
@@ -73,7 +70,7 @@ class AggregateTable:
         low = min(cells, default=0)
         if low < 0:
             raise PanelFormatError(f"counts must be nonnegative, got {low}")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, s, G, rows)
 
     @property
     def m(self) -> int:
@@ -121,11 +118,13 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
 
 
 def _integer(raw: str, name: str, lineno: int | None, expected: str = "is not an integer") -> int:
-    """``int(raw)``, or a PanelFormatError that reads ``{name} {raw!r} {expected}``."""
-    try:
-        return int(raw)
-    except ValueError:
-        raise PanelFormatError(f"{name} {raw!r} {expected}", line=lineno) from None
+    """ASCII digits after an optional ``-`` as an int, else a PanelFormatError ``{name} {raw!r} {expected}``."""
+    if raw.isascii() and raw.removeprefix("-").isdigit():  # int() alone also reads +3, 1_000 and non-ASCII digits
+        try:
+            return int(raw)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise PanelFormatError(f"{name} {raw!r} {expected}", line=lineno)
 
 
 def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:

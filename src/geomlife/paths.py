@@ -20,7 +20,7 @@ produce without special-casing.  Each vector is a tuple over the ages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import LatentUnit, StudyDesign, check_theta
 
@@ -28,8 +28,7 @@ from .model import LatentUnit, StudyDesign, check_theta
 PATH_COLUMNS = ("x", "dN", "Y_prev", "dN_tc", "Y_tc_prev", "dA_tc", "dM_tc")
 
 
-@dataclass(frozen=True)
-class PathBundle:
+class PathBundle(NamedTuple):
     """Counting-process increment vectors for one unit over ages 1..horizon."""
 
     ages: tuple[int, ...]

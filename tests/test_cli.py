@@ -347,6 +347,19 @@ class TestCheck:
         code, out, err = run(capsys, "check", *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--random", "3", "--seed", "1", "--s", "2", "--format", "units", "--G", "5"],
+             "check --random does not use --G, --format"),
+            (["--input", str(DATA / "table1.csv"), *DESIGN_FLAGS, "--seed", "4"], "check --input does not use --seed"),
+        ],
+        ids=["random-with-format-and-G", "input-with-seed"],
+    )
+    def test_flag_the_mode_does_not_read(self, capsys, flags, message):
+        code, out, err = run(capsys, "check", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_degenerate_stats(self, capsys, tmp_path):
         path = tmp_path / "cens.csv"
         path.write_text("cohort,outcome,count\n,cens,10\n")
@@ -589,6 +602,13 @@ class TestConfigFile:
         code, out, _ = run(capsys, "check", "--config", str(cfg), "--random", "2", "--seed", "1", "--s", "2")
         assert code == 0
         assert [row["case"] for row in json.loads(out)] == [0, 1]
+
+    def test_config_may_set_flags_the_check_mode_does_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4, "format": "aggregate"}))  # e.g. shared with simulate
+        code, out, _ = run(capsys, "check", "--config", str(cfg), "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS)
+        assert code == 0
+        assert [row["case"] for row in json.loads(out)] == [0]
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "estimate", "--config", "/nonexistent.json")

@@ -5,6 +5,10 @@ alone; only ``simulate`` and the opt-in ``check --random`` load numpy;
 nothing loads scipy, which is a test-only dependency, and ``simulate``
 starts no process pool.  Each case runs a fresh interpreter with
 ``-X importtime`` and reads the modules it imported from stderr.
+
+The three standard-library subcommands also leave out the slow stdlib
+modules the package does not need: none loads ``dataclasses``, and only
+``estimate``, for its normal quantile, loads ``statistics``.
 """
 
 import os
@@ -19,6 +23,11 @@ import geomlife
 SRC = Path(geomlife.__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent.parent / "data"
 COMMON = ["--s", "2", "--G", "5"]
+ESTIMATE_INPUTS = {  # "UNITS" stands for the path of the units_file fixture
+    "table1": ["--input", str(DATA / "table1.csv")],
+    "table3": ["--input", str(DATA / "table3.csv")],
+    "units": ["--input", "UNITS", "--format", "units"],
+}
 
 
 def imported_modules(*args, cwd):
@@ -46,11 +55,8 @@ def units_file(tmp_path):
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_estimate_needs_neither_numpy_nor_scipy(tmp_path, units_file, output_format):
-    for argv in (
-        ["--input", str(DATA / "table1.csv")],
-        ["--input", str(DATA / "table3.csv")],
-        ["--input", str(units_file), "--format", "units"],
-    ):
+    for argv in ESTIMATE_INPUTS.values():
+        argv = [str(units_file) if arg == "UNITS" else arg for arg in argv]
         modules = imported_modules(
             "-m", "geomlife.cli", "estimate", *argv, *COMMON, "--output-format", output_format, cwd=tmp_path
         )
@@ -73,6 +79,34 @@ def test_check_input_and_paths_need_neither_numpy_nor_scipy(tmp_path, units_file
     modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path)
     assert module in modules  # the probe sees the program's imports
     assert not top_level(modules) & {"numpy", "scipy"}
+
+
+@pytest.fixture(scope="module")
+def interpreter_modules(tmp_path_factory):
+    """What a bare interpreter imports on this host, e.g. through ``site``."""
+    return imported_modules("-c", "pass", cwd=tmp_path_factory.mktemp("bare"))
+
+
+@pytest.mark.parametrize(
+    "argv,unwanted",
+    [
+        *[
+            (["estimate", *source, "--output-format", fmt], {"dataclasses"})
+            for source in ESTIMATE_INPUTS.values()
+            for fmt in ("json", "csv")
+        ],
+        (["check", "--input", str(DATA / "table1.csv")], {"dataclasses", "statistics"}),
+        (["check", "--input", "UNITS", "--format", "units"], {"dataclasses", "statistics"}),
+        (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], {"dataclasses", "statistics"}),
+    ],
+    ids=[*[f"estimate-{name}-{fmt}" for name in ESTIMATE_INPUTS for fmt in ("json", "csv")],
+         "check-aggregate", "check-units", "paths"],
+)
+def test_stdlib_subcommands_skip_dataclasses_and_statistics(tmp_path, units_file, interpreter_modules, argv, unwanted):
+    argv = [str(units_file) if arg == "UNITS" else arg for arg in argv]
+    modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path)
+    assert "geomlife.panel_io" in modules  # the probe sees the program's imports
+    assert not top_level(modules - interpreter_modules) & unwanted
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,7 @@ class TestParseAggregate:
             ("0,1,-2\n", "nonnegative"),
             ("9,1,5\n", "cohort 9"),
             ("0,1,1.5\n", "integer"),
+            ("0,1,\u0661\n", "count '\u0661' is not an integer"),  # int() reads ARABIC-INDIC DIGIT ONE as 1
         ],
     )
     def test_malformed_rows(self, body, fragment):
@@ -209,6 +210,15 @@ class TestCountUnits:
         path = tmp_path / "units.csv"
         path.write_bytes(b't,d,censored\n"0",1,0\n1,,1\n0,1,0\n')  # the quoted cell needs the csv rules
         assert count_units(path, 2, 5).rows == ((2, 0, 0), (0, 0, 1), *[(0, 0, 0)] * 4)
+
+    @pytest.mark.parametrize("cell", ["+1", "0_1", "\u0661"], ids=["plus", "underscore", "arabic-indic"])  # int() reads 1
+    @pytest.mark.parametrize("row,name", [("{},1,0", "t"), ("0,{},0", "d")], ids=["t", "d"])
+    @pytest.mark.parametrize("first", [b"0,1,0\n", b'"0",1,0\n'], ids=["fast-path", "per-row-path"])
+    def test_integer_cells_are_ascii_digits(self, tmp_path, cell, row, name, first):
+        path = tmp_path / "units.csv"
+        path.write_bytes(b"t,d,censored\n" + first + row.format(cell).encode() + b"\n")
+        message = f"line 3: {name} {cell!r} is not an integer"
+        assert _counted(path) == _per_row(path) == (PanelFormatError, message)
 
     def test_reference_panel_as_units(self, tmp_path):
         lines = ["t,d,censored\n"]
