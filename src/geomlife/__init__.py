@@ -20,7 +20,6 @@ _EXPORTS = {
     "theta_hat": "estimator",
     "var_hat": "estimator",
     "wald_ci": "estimator",
-    "LogLikProfile": "likelihood",
     "conditional_loglik": "likelihood",
     "grid_argmax": "likelihood",
     "likelihood_contribution": "likelihood",

@@ -185,25 +185,23 @@ def cmd_simulate(args) -> int:
             n_list = [args.n]
         else:
             raise ValueError("mse study needs --n or --n-list")
+    elif args.n is None and args.n_list is not None:
+        raise ValueError(f"--n-list is only for --study mse; --study {args.study} needs --n")
     else:
         _require(args, ["n"])
         n_list = [args.n]
 
+    # every config is checked before the first study runs
+    configs = [
+        SimConfig(args.theta0, design, tdist, n=n, n_replicates=args.K, seed=args.seed, level=args.level)
+        for n in n_list
+    ]
     rows = []
-    for n in n_list:
-        config = SimConfig(
-            theta0=args.theta0,
-            design=design,
-            tdist=tdist,
-            n=n,
-            n_replicates=args.K,
-            seed=args.seed,
-            level=args.level,
-        )
+    for config in configs:
         report = run_study(config)
         rows.append(report.to_row())
         sys.stderr.write(
-            f"n={n} K={args.K}: mse={report.mse:.6g} coverage={report.coverage:.4f} "
+            f"n={config.n} K={args.K}: mse={report.mse:.6g} coverage={report.coverage:.4f} "
             f"ks={report.ks_distance:.4f} degenerate={report.degenerate_count}\n"
         )
 
@@ -262,17 +260,10 @@ def cmd_check(args) -> int:
             sys.stderr.write(f"case {idx}: degenerate stats, skipping oracle comparison\n")
             continue
         closed = theta_hat(stats)
-        profile = grid_argmax(stats)
-        diff = abs(closed - profile.argmax_theta)
+        argmax = grid_argmax(stats)
+        diff = abs(closed - argmax)
         worst = max(worst, diff)
-        rows.append(
-            {
-                "case": idx,
-                "theta_hat": closed,
-                "argmax_theta": profile.argmax_theta,
-                "abs_diff": diff,
-            }
-        )
+        rows.append({"case": idx, "theta_hat": closed, "argmax_theta": argmax, "abs_diff": diff})
 
     if args.output_format == "csv":
         _dump_csv(rows, ["case", "theta_hat", "argmax_theta", "abs_diff"], args.output)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import ObservedUnit, StudyDesign, check_theta, life_expectancy
+from .model import ObservedUnit, StudyDesign, _make, check_theta, life_expectancy
 
 
 class NoRiskTimeError(ValueError):
@@ -31,6 +31,7 @@ class SufficientStats(
     """Everything the estimator needs: counts and the uncensored duration sum."""
 
     __slots__ = ()
+    _make = _make
 
     def __new__(cls, m: int, m_uncens: int, m_cens: int, duration_sum: int, s: int):
         for name, value in zip(cls._fields, (m, m_uncens, m_cens, duration_sum)):

@@ -7,28 +7,22 @@ truncation-age distribution:
              = theta^{1{x <= t+s}} * (1-theta)^{min(x-1, t+s) - t}   otherwise
 
 The sample log-likelihood collapses to counts:  m_uncens * log(theta) +
-(R - m_uncens) * log(1 - theta).  ``grid_argmax`` maximizes it numerically
-(grid scan + golden-section refinement) and serves as an independent check
-on the closed-form estimator; it never uses the m_uncens / R formula.
+(R - m_uncens) * log(1 - theta).  ``grid_argmax`` returns its argmax, found
+numerically (grid scan + golden-section refinement): an independent check on
+the closed-form estimator; it never uses the m_uncens / R formula.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .estimator import NoRiskTimeError, SufficientStats
 from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-class LogLikProfile(NamedTuple):
-    """Grid of theta values, log-likelihood values, and the refined argmax."""
-
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    argmax_theta: float
+#: Points of grid_argmax's uniform grid over [THETA_EPS, 1 - THETA_EPS].
+GRID_POINTS = 2001
 
 
 def likelihood_contribution(unit: LatentUnit, design: StudyDesign, theta: float) -> float:
@@ -80,26 +74,19 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def grid_argmax(
-    stats: SufficientStats,
-    resolution: int = 2001,
-    eps: float = THETA_EPS,
-) -> LogLikProfile:
-    """Numerically maximize the conditional log-likelihood over [eps, 1-eps].
+def grid_argmax(stats: SufficientStats) -> float:
+    """Numerically maximize the conditional log-likelihood over [THETA_EPS, 1 - THETA_EPS].
 
-    A uniform grid of ``resolution`` points locates the mode; golden-section
-    search on the bracketing interval refines it to ~1e-9.
+    A uniform grid of :data:`GRID_POINTS` points locates the mode;
+    golden-section search on the bracketing interval refines it to ~1e-9.
     """
-    if resolution < 1000:
-        raise ValueError(f"resolution must be >= 1000, got {resolution}")
     if stats.risk_time == 0:
         raise NoRiskTimeError("no observed risk time; log-likelihood is flat")
-    first, last = eps, 1.0 - eps
-    step = (last - first) / (resolution - 1)
-    grid = tuple(i * step + first for i in range(resolution - 1)) + (last,)  # np.linspace, bit for bit
+    first, last = THETA_EPS, 1.0 - THETA_EPS
+    step = (last - first) / (GRID_POINTS - 1)
+    grid = tuple(i * step + first for i in range(GRID_POINTS - 1)) + (last,)  # np.linspace, bit for bit
     values = tuple(conditional_loglik(stats, th) for th in grid)
-    k = max(range(resolution), key=values.__getitem__)  # the first maximum, as np.argmax
+    k = max(range(GRID_POINTS), key=values.__getitem__)  # the first maximum, as np.argmax
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, resolution - 1)]
-    argmax_theta = _golden_section_max(lambda th: conditional_loglik(stats, th), lo, hi)
-    return LogLikProfile(grid=grid, values=values, argmax_theta=argmax_theta)
+    hi = grid[min(k + 1, GRID_POINTS - 1)]
+    return _golden_section_max(lambda th: conditional_loglik(stats, th), lo, hi)

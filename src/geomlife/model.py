@@ -11,8 +11,8 @@ right-censored.
 
 numpy is imported inside the functions that build arrays, so the scalar
 half of this module (designs, units, ``observe``) costs no numpy import.
-Records are ``typing.NamedTuple`` classes (invariants checked in ``__new__``),
-so ``estimate``, ``check --input`` and ``paths`` never import ``dataclasses``.
+Records are ``typing.NamedTuple`` classes; a validated one checks its
+invariants in ``__new__`` and sets :data:`_make`, which ``_replace`` calls.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ if TYPE_CHECKING:
 
 #: Default half-width trimmed off the parameter space [eps, 1 - eps].
 THETA_EPS = 1e-6
+
+#: ``_make`` for a validated record.  namedtuple's own ``_make``, which its
+#: ``_replace`` calls, builds the tuple with ``tuple.__new__`` and so skips
+#: the checks in ``__new__``; this one calls the class.
+_make = classmethod(lambda cls, values: cls(*values))
 
 
 def check_theta(theta: float, eps: float = 0.0) -> float:
@@ -45,6 +50,7 @@ class StudyDesign(NamedTuple("StudyDesign", [("s", int), ("G", int)])):
     """
 
     __slots__ = ()
+    _make = _make
 
     def __new__(cls, s: int, G: int):
         if s < 1:
@@ -66,6 +72,7 @@ class TruncationDist(NamedTuple("TruncationDist", [("pmf", tuple[float, ...])]))
     """
 
     __slots__ = ()
+    _make = _make
 
     def __new__(cls, pmf):
         pmf = tuple(map(float, pmf))
@@ -103,6 +110,7 @@ class LatentUnit(NamedTuple("LatentUnit", [("x", int), ("t", int)])):
     """A latent draw: lifespan ``x`` and truncation age ``t``."""
 
     __slots__ = ()
+    _make = _make
 
     def __new__(cls, x: int, t: int):
         if x < 1:

@@ -31,7 +31,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .estimator import SufficientStats
-from .model import ObservedUnit
+from .model import ObservedUnit, _make
 
 CENSORED_OUTCOME = "cens"
 
@@ -58,6 +58,7 @@ class AggregateTable(NamedTuple("AggregateTable", [("s", int), ("G", int), ("row
     """
 
     __slots__ = ()
+    _make = _make
 
     def __new__(cls, s: int, G: int, rows):
         rows = tuple(map(tuple, rows))
@@ -103,8 +104,8 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
     """``(line, cells)`` for each non-blank row of ``csv.reader`` after a checked header.
 
     ``line`` is the physical line the row ends on, which differs from the
-    row count after a quoted cell spanning lines.  A csv-level error
-    becomes a PanelFormatError.
+    row count after a quoted cell spanning lines.  A csv-level error or
+    an undecodable byte becomes a PanelFormatError.
     """
     reader = csv.reader(stream)
     try:
@@ -115,6 +116,12 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
                 yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        # exc.object is the chunk being decoded, which begins on line line_num + 1; lines end in \n, \r\n or \r
+        before = exc.object[: exc.start]
+        line = reader.line_num + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        message = f"{exc.encoding!r} codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
+        raise PanelFormatError(message, line=line) from None
 
 
 def _integer(raw: str, name: str, lineno: int | None, expected: str = "is not an integer") -> int:

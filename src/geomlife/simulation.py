@@ -18,44 +18,46 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimator import SufficientStats
-from .model import THETA_EPS, StudyDesign, TruncationDist, cell_probabilities, check_theta
+from .model import THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_theta
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
 #: does not grow with the tables of all K replicates.
 STUDY_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    theta0: float
-    design: StudyDesign
-    tdist: TruncationDist
-    n: int
-    n_replicates: int
-    seed: int
-    level: float = 0.95
+class SimConfig(
+    NamedTuple(
+        "SimConfig",
+        [("theta0", float), ("design", StudyDesign), ("tdist", TruncationDist),
+         ("n", int), ("n_replicates", int), ("seed", int), ("level", float)],
+    )
+):
+    """One study: K = ``n_replicates`` count tables of ``n`` latent units, drawn from ``seed``."""
 
-    def __post_init__(self):
-        check_theta(self.theta0, eps=THETA_EPS)  # the range sample_units accepts
-        if self.n < 1 or self.n_replicates < 1:
+    __slots__ = ()
+    _make = _make
+
+    def __new__(cls, theta0: float, design: StudyDesign, tdist: TruncationDist, n: int, n_replicates: int,
+                seed: int, level: float = 0.95):
+        check_theta(theta0, eps=THETA_EPS)  # the range sample_units accepts
+        if n < 1 or n_replicates < 1:
             raise ValueError("n and n_replicates must be >= 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
-        # one set of cell probabilities serves every replicate of the study; it checks the pmf's G
-        cells = cell_probabilities(self.theta0, self.design, self.tdist)
-        object.__setattr__(self, "_cells", cells.ravel())
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"confidence level must be in (0, 1), got {level}")
+        if tdist.G != design.G:  # cell_probabilities' check, made before any study draws
+            raise ValueError(f"truncation pmf has {tdist.G} entries but design has G={design.G}")
+        return super().__new__(cls, theta0, design, tdist, n, n_replicates, seed, level)
 
 
-@dataclass(frozen=True)
-class StudyReport:
+class StudyReport(NamedTuple):
     """Per-replicate estimates and the summary statistics built from them."""
 
     n: int
@@ -141,9 +143,10 @@ def study_tables(config: SimConfig):
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     s, G = config.design.s, config.design.G
+    cells = cell_probabilities(config.theta0, config.design, config.tdist).ravel()
     for start in range(0, config.n_replicates, STUDY_CHUNK):
         size = min(STUDY_CHUNK, config.n_replicates - start)
-        yield rng.multinomial(config.n, config._cells, size=size).reshape(-1, G, s + 2)
+        yield rng.multinomial(config.n, cells, size=size).reshape(-1, G, s + 2)
 
 
 def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
@@ -155,7 +158,8 @@ def replicate_table(config: SimConfig, replicate_index: int) -> np.ndarray:
     """
     rng = _replicate_rng(config.seed, replicate_index)
     s, G = config.design.s, config.design.G
-    return rng.multinomial(config.n, config._cells).reshape(G, s + 2)
+    cells = cell_probabilities(config.theta0, config.design, config.tdist).ravel()
+    return rng.multinomial(config.n, cells).reshape(G, s + 2)
 
 
 def replicate_stats(config: SimConfig, replicate_index: int) -> SufficientStats:
@@ -271,7 +275,7 @@ def martingale_diagnostics(config: SimConfig) -> dict:
     s, G, n, theta = config.design.s, config.design.G, config.n, config.theta0
     if n < 2:
         raise ValueError(f"martingale diagnostics need n >= 2 units, got n = {n}")
-    cells = next(study_tables(replace(config, n_replicates=1)))[0]
+    cells = next(study_tables(config._replace(n_replicates=1)))[0]
     table = AggregateTable(s, G, [*cells[:, 1:].tolist(), [0] * (s + 1)])
     events, at_risk = (np.array(counts, dtype=np.int64) for counts in age_counts(table))
     dm_mean = (events - theta * at_risk) / n

@@ -268,6 +268,15 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == f"error: --n-list must be comma-separated integers, got {n_list!r}\n"
 
+    def test_bad_n_is_rejected_before_any_study_runs(self, capsys):
+        code, out, err = run(capsys, *SIMULATE, "--study", "mse", "--n-list", "10,-5")
+        assert (code, out, err) == (1, "", "error: n and n_replicates must be >= 1\n")  # no study's stderr line
+
+    def test_n_list_outside_an_mse_study_is_named(self, capsys):
+        code, out, err = run(capsys, *SIMULATE, "--study", "coverage", "--n-list", "10,20")
+        assert (code, out) == (1, "")
+        assert err == "error: --n-list is only for --study mse; --study coverage needs --n\n"
+
     def test_workers_config_key_is_unknown(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": 2}))

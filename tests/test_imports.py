@@ -8,7 +8,8 @@ starts no process pool.  Each case runs a fresh interpreter with
 
 The three standard-library subcommands also leave out the slow stdlib
 modules the package does not need: none loads ``dataclasses``, and only
-``estimate``, for its normal quantile, loads ``statistics``.
+``estimate``, for its normal quantile, loads ``statistics``.  ``simulate``
+does not load ``dataclasses`` either.
 """
 
 import os
@@ -28,6 +29,8 @@ ESTIMATE_INPUTS = {  # "UNITS" stands for the path of the units_file fixture
     "table3": ["--input", str(DATA / "table3.csv")],
     "units": ["--input", "UNITS", "--format", "units"],
 }
+SIMULATE = ["-m", "geomlife.cli", "simulate", "--study", "clt", "--theta0", "0.1", "--K", "4", "--n", "50",
+            "--seed", "1", *COMMON]
 
 
 def imported_modules(*args, cwd):
@@ -127,11 +130,15 @@ def test_no_subcommand_loads_scipy(tmp_path, argv):
 
 
 def test_simulate_starts_no_process_pool(tmp_path):
-    argv = ["-m", "geomlife.cli", "simulate", "--study", "clt", "--theta0", "0.1", "--K", "4", "--n", "50",
-            "--seed", "1", *COMMON]
-    modules = imported_modules(*argv, cwd=tmp_path)
+    modules = imported_modules(*SIMULATE, cwd=tmp_path)
     assert "geomlife.simulation" in modules
     assert not top_level(modules) & {"multiprocessing", "concurrent"}
+
+
+def test_simulate_skips_dataclasses(tmp_path, interpreter_modules):
+    modules = imported_modules(*SIMULATE, cwd=tmp_path)
+    assert "geomlife.simulation" in modules  # the probe sees the program's imports
+    assert "dataclasses" not in top_level(modules - interpreter_modules)
 
 
 def test_bare_import_loads_no_submodule(tmp_path):

@@ -101,6 +101,8 @@ UNIT_CASES = {
     "lone_cr": UNITS + b"0,1,0\r1,1,0\n",
     "cr_inside_row": UNITS + b"0,1\r,0\n",
     "undecodable_byte": UNITS + b"0,1,0\n\xe9,1,0\n",
+    "undecodable_byte_past_first_8_kib": UNITS + b"0,1,0\n" * 2000 + b"1,\xe9,1\n" + b"2,2,0\n" * 9,
+    "undecodable_byte_after_lone_crs": UNITS + b"0,1,0\r1,1,0\r\n\xe9,1,0\n",
     "long_cell": UNITS + b"0," + b"9" * (2**17 + 1) + b",0\n",
 }
 

@@ -126,14 +126,12 @@ class TestConditionalLoglik:
 
 class TestGridArgmax:
     def test_table_stats(self):
-        profile = grid_argmax(TABLE1_STATS)
-        assert abs(profile.argmax_theta - TABLE1_M_UNCENS / TABLE1_RISK_TIME) <= 1e-6
+        assert abs(grid_argmax(TABLE1_STATS) - TABLE1_M_UNCENS / TABLE1_RISK_TIME) <= 1e-6
 
     def test_symmetric_case(self):
         # m_uncens = 5 over R = 10 risk years
         stats = SufficientStats(m=5, m_uncens=5, m_cens=0, duration_sum=10, s=2)
-        profile = grid_argmax(stats)
-        assert abs(profile.argmax_theta - 0.5) <= 1e-6
+        assert abs(grid_argmax(stats) - 0.5) <= 1e-6
 
     def test_random_stats_match_closed_form(self):
         rng = np.random.default_rng(17)
@@ -149,18 +147,7 @@ class TestGridArgmax:
                 s=2,
             )
             closed = m_uncens / stats.risk_time
-            assert abs(grid_argmax(stats).argmax_theta - closed) <= 1e-6
-
-    def test_profile_shape(self):
-        profile = grid_argmax(TABLE1_STATS, resolution=1201)
-        assert len(profile.grid) == 1201
-        assert len(profile.values) == 1201
-        assert all(a < b for a, b in zip(profile.grid, profile.grid[1:]))
-
-    @pytest.mark.parametrize("resolution", [1000, 1201, 2001, 5000])
-    def test_grid_is_linspace_bit_for_bit(self, resolution):
-        grid = grid_argmax(TABLE1_STATS, resolution=resolution).grid
-        assert grid == tuple(np.linspace(THETA_EPS, 1.0 - THETA_EPS, resolution).tolist())
+            assert abs(grid_argmax(stats) - closed) <= 1e-6
 
     def test_argmax_equals_the_numpy_scan_on_oracle_cases(self):
         # criterion 04's cases: 100 seeded random stats and the reference table
@@ -177,13 +164,7 @@ class TestGridArgmax:
             k = int(np.argmax(values))
             loglik = partial(conditional_loglik, stats)
             want = _golden_section_max(loglik, grid[max(k - 1, 0)], grid[min(k + 1, 2000)])
-            profile = grid_argmax(stats)
-            assert profile.values == tuple(values.tolist())
-            assert profile.argmax_theta == want
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            grid_argmax(TABLE1_STATS, resolution=100)
+            assert grid_argmax(stats) == want
 
     def test_no_data(self):
         stats = SufficientStats(m=0, m_uncens=0, m_cens=0, duration_sum=0, s=2)

@@ -1,10 +1,22 @@
-"""Records are immutable values: fixed repr, no assignable fields, equality and hash by value."""
+"""Records are immutable values: fixed repr, no assignable fields, equality and hash by value.
+
+A validated record cannot be built invalid: ``_make`` and ``_replace`` run
+the constructor's checks.
+"""
+
+import re
 
 import pytest
 
 from geomlife.estimator import SufficientStats
-from geomlife.model import StudyDesign
+from geomlife.model import LatentUnit, StudyDesign, TruncationDist
 from geomlife.panel_io import AggregateTable
+from geomlife.simulation import SimConfig
+
+
+def sim_config(n=100):
+    return SimConfig(0.1, StudyDesign(2, 2), TruncationDist.uniform(2), n=n, n_replicates=10, seed=1)
+
 
 # repr, a factory of that record, and a record of the same type holding other values
 RECORDS = [
@@ -18,6 +30,12 @@ RECORDS = [
         "AggregateTable(s=1, G=1, rows=((1, 2), (0, 0)))",
         lambda: AggregateTable(1, 1, [[1, 2], [0, 0]]),
         AggregateTable(1, 1, [[1, 2], [0, 1]]),
+    ),
+    (
+        "SimConfig(theta0=0.1, design=StudyDesign(s=2, G=2), tdist=TruncationDist(pmf=(0.5, 0.5)), "
+        "n=100, n_replicates=10, seed=1, level=0.95)",
+        sim_config,
+        sim_config(n=101),
     ),
 ]
 
@@ -41,3 +59,30 @@ class TestRecord:
         assert record == positional == keyword
         assert len({hash(record), hash(positional), hash(keyword)}) == 1
         assert record != other
+
+
+# a valid record, a change its checks reject, and a change they accept
+VALIDATED = [
+    (StudyDesign(2, 5), {"s": 0}, {"s": 3}),
+    (TruncationDist([0.5, 0.5]), {"pmf": (0.5, 0.6)}, {"pmf": (0.25, 0.75)}),
+    (LatentUnit(3, 1), {"x": 0}, {"t": 2}),
+    (SufficientStats(3, 2, 1, 3, 2), {"m_uncens": -7}, {"duration_sum": 4}),
+    (AggregateTable(1, 1, [[1, 2], [0, 0]]), {"rows": ((1, -2), (0, 0))}, {"rows": ((1, 2), (0, 5))}),
+    (sim_config(), {"n": 0}, {"n": 5}),
+]
+
+
+@pytest.mark.parametrize("record,bad,good", VALIDATED, ids=[type(record).__name__ for record, _, _ in VALIDATED])
+def test_make_and_replace_run_the_constructor_checks(record, bad, good):
+    cls = type(record)
+    values = [bad.get(name, value) for name, value in zip(cls._fields, record)]
+    with pytest.raises(ValueError) as built:
+        cls(*values)
+    message = f"^{re.escape(str(built.value))}$"
+    with pytest.raises(type(built.value), match=message):
+        cls._make(values)
+    with pytest.raises(type(built.value), match=message):
+        record._replace(**bad)
+    replaced = record._replace(**good)
+    assert type(replaced) is cls
+    assert replaced == cls(**{**record._asdict(), **good})

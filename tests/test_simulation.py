@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -334,7 +333,7 @@ class TestStudies:
 
     def test_mse_shrinks_with_n(self):
         c = config(K=60, seed=21)
-        assert run_study(replace(c, n=5000)).mse < run_study(replace(c, n=500)).mse
+        assert run_study(c._replace(n=5000)).mse < run_study(c._replace(n=500)).mse
 
     def test_coverage_near_nominal(self):
         c = config(n=2000, K=200, seed=31)
