@@ -5,10 +5,10 @@ summaries and diagnostics go to stderr.  Exit codes: 0 success, 1 input
 or usage error, 2 degenerate statistical result.  Numbers in machine
 output carry 12 significant digits.  ``estimate``, ``simulate`` and
 ``check`` write JSON or, with ``--output-format csv``, CSV; ``paths``
-always writes CSV.  ``check`` takes ``--input`` or ``--random`` and
-``simulate`` ``--n`` or ``--n-list``, not both; ``check`` rejects a flag
-its mode does not read.  A JSON file passed via ``--config``, before or
-after the subcommand, supplies defaults for any flag (command-line flags win).
+always writes CSV.  ``check`` takes ``--input`` or ``--random``, not
+both, and rejects a flag its mode does not read.  A JSON file passed via
+``--config``, before or after the subcommand, supplies defaults for any
+flag (command-line flags win).
 
 ``estimate``, ``check --input`` and ``paths`` run on the standard library
 alone: numpy is imported only by ``simulate`` and ``check --random``, and
@@ -122,7 +122,7 @@ def _summarize_estimate(result) -> str:
     lo, hi = result.ci
     lines = [
         f"theta_hat = {result.theta_hat:.4f}  (se {result.se:.3g})",
-        f"{result.level:.0%} CI for theta: [{_floor_to(lo, 4):.4f}, {_ceil_to(hi, 4):.4f}]",
+        f"{100 * result.level:g}% CI for theta: [{_floor_to(lo, 4):.4f}, {_ceil_to(hi, 4):.4f}]",
     ]
     if math.isfinite(result.life_expectancy):
         le_lo, le_hi = result.life_expectancy_ci
@@ -171,25 +171,13 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulation import SimConfig, run_study
 
-    _require(args, ["study", "theta0", "s", "G", "K", "seed"])
+    _require(args, ["theta0", "n", "s", "G", "K", "seed"])
     design = StudyDesign(s=args.s, G=args.G)
     tdist = _parse_tdist(args.tdist, args.G)
-
-    if args.study == "mse":
-        if args.n_list:
-            try:
-                n_list = [int(n) for n in args.n_list.split(",")]
-            except ValueError:
-                raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
-        elif args.n is not None:
-            n_list = [args.n]
-        else:
-            raise ValueError("mse study needs --n or --n-list")
-    elif args.n is None and args.n_list is not None:
-        raise ValueError(f"--n-list is only for --study mse; --study {args.study} needs --n")
-    else:
-        _require(args, ["n"])
-        n_list = [args.n]
+    try:
+        n_list = [int(n) for n in args.n.split(",")]
+    except ValueError:
+        raise ValueError(f"--n must be an integer or comma-separated integers, got {args.n!r}") from None
 
     # every config is checked before the first study runs
     configs = [
@@ -330,13 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--level", type=float, default=0.95, help="confidence level, default 0.95")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
+    p_sim = sub.add_parser("simulate", help="Monte Carlo MSE, coverage and KS distance per latent size")
     add_common(p_sim)
-    p_sim.add_argument("--study", choices=["mse", "coverage", "clt"], default=None)
     p_sim.add_argument("--theta0", type=float, default=None)
-    sizes = p_sim.add_mutually_exclusive_group()
-    sizes.add_argument("--n", type=int, default=None, help="latent sample size")
-    sizes.add_argument("--n-list", default=None, help="comma-separated latent sample sizes (mse study)")
+    p_sim.add_argument("--n", default=None, help="latent sample size, or comma-separated sizes")
     p_sim.add_argument("--K", type=int, default=None, help="replicate count")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--level", type=float, default=0.95)

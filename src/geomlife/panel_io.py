@@ -117,11 +117,23 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
     except UnicodeDecodeError as exc:
-        # exc.object is the chunk being decoded, which begins on line line_num + 1; lines end in \n, \r\n or \r
-        before = exc.object[: exc.start]
-        line = reader.line_num + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raw = getattr(stream, "buffer", None)
+        if raw is not None and raw.seekable():  # count the line ends before the byte, from the file's start
+            end = raw.tell() - len(exc.object) + exc.start  # exc.object is the chunk read last
+            raw.seek(0)
+            line, cr_before = 1, False  # a \r ending one chunk and a \n starting the next are one line end
+            for chunk in iter(lambda: raw.read(min(end - raw.tell(), 1 << 16)), b""):
+                line += _line_ends(chunk) - (cr_before and chunk.startswith(b"\n"))
+                cr_before = chunk.endswith(b"\r")
+        else:  # exc.object begins on line line_num + 1, unless an uncounted \r ended the chunk before it
+            line = reader.line_num + _line_ends(exc.object[: exc.start]) + 1
         message = f"{exc.encoding!r} codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
         raise PanelFormatError(message, line=line) from None
+
+
+def _line_ends(data: bytes) -> int:
+    """The number of line ends (``\\n``, ``\\r\\n`` or ``\\r``) in ``data``."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def _integer(raw: str, name: str, lineno: int | None, expected: str = "is not an integer") -> int:

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import SufficientStats
-from .model import THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_theta
+from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_theta,
+                    observation_probability)
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
 #: does not grow with the tables of all K replicates.
@@ -111,8 +112,7 @@ def asymptotic_variance(
         raise ValueError("truncation pmf and design disagree on G")
     q = 1.0 - theta0
     window_sum = (1.0 - q**design.s) / theta0
-    ages = np.arange(design.G)
-    expected_risk = window_sum * float(np.dot(tdist.pmf, q**ages))
+    expected_risk = window_sum * observation_probability(theta0, tdist)
     sigma_pb_sq = expected_risk / (theta0 * q)
     return sigma_pb_sq, 1.0 / sigma_pb_sq
 

@@ -257,7 +257,6 @@ def test_criterion_10_clt_shape(studies):
 def test_criterion_11_determinism(tmp_path, capsys):
     args = [
         "simulate",
-        "--study", "clt",
         "--theta0", "0.1",
         "--s", "2",
         "--G", "5",

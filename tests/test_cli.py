@@ -13,7 +13,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DESIGN_FLAGS = ["--s", "2", "--G", "5"]
 SIMULATE = ["simulate", "--theta0", "0.1", *DESIGN_FLAGS, "--K", "2", "--seed", "1"]
-MSE_STUDY = ["simulate", "--study", "mse", "--theta0", "0.1", *DESIGN_FLAGS, "--n-list", "50,1000", "--K", "50",
+MSE_STUDY = ["simulate", "--theta0", "0.1", *DESIGN_FLAGS, "--n", "50,1000", "--K", "50",
              "--seed", "33"]
 
 
@@ -50,6 +50,12 @@ class TestEstimate:
         assert "0.1009" in err
         assert "[0.1005, 0.1013]" in err
         assert "9.88" in err and "9.95" in err
+
+    @pytest.mark.parametrize("level,label", [("0.95", "95%"), ("0.975", "97.5%"), ("0.999", "99.9%")])
+    def test_summary_names_the_level(self, capsys, level, label):
+        code, _, err = run(capsys, "estimate", "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS, "--level", level)
+        assert code == 0
+        assert err.splitlines()[1].startswith(f"{label} CI for theta: [")
 
     def test_bundled_data_file(self, capsys):
         code, out, _ = run(
@@ -164,12 +170,11 @@ class TestSimulate:
         code, _, err = run(
             capsys,
             "simulate",
-            "--study", "mse",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "5",
             "--K", "8",
-            "--n-list", "200,400",
+            "--n", "200,400",
             "--seed", "42",
             "--output-format", "csv",
             "--output", str(out_path),
@@ -183,7 +188,6 @@ class TestSimulate:
         code, out, _ = run(
             capsys,
             "simulate",
-            "--study", "coverage",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "5",
@@ -199,7 +203,6 @@ class TestSimulate:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [
             "simulate",
-            "--study", "clt",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "5",
@@ -217,7 +220,6 @@ class TestSimulate:
         code, out, _ = run(
             capsys,
             "simulate",
-            "--study", "coverage",
             "--theta0", "0.2",
             "--s", "2",
             "--G", "3",
@@ -241,7 +243,6 @@ class TestSimulate:
         code, out, err = run(
             capsys,
             "simulate",
-            "--study", "coverage",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "5",
@@ -257,25 +258,19 @@ class TestSimulate:
         code, out, err = run(
             capsys,
             "simulate",
-            "--study", "mse",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "5",
             "--K", "2",
-            "--n-list", n_list,
+            "--n", n_list,
             "--seed", "1",
         )
         assert (code, out) == (1, "")
-        assert err == f"error: --n-list must be comma-separated integers, got {n_list!r}\n"
+        assert err == f"error: --n must be an integer or comma-separated integers, got {n_list!r}\n"
 
     def test_bad_n_is_rejected_before_any_study_runs(self, capsys):
-        code, out, err = run(capsys, *SIMULATE, "--study", "mse", "--n-list", "10,-5")
+        code, out, err = run(capsys, *SIMULATE, "--n", "10,-5")
         assert (code, out, err) == (1, "", "error: n and n_replicates must be >= 1\n")  # no study's stderr line
-
-    def test_n_list_outside_an_mse_study_is_named(self, capsys):
-        code, out, err = run(capsys, *SIMULATE, "--study", "coverage", "--n-list", "10,20")
-        assert (code, out) == (1, "")
-        assert err == "error: --n-list is only for --study mse; --study coverage needs --n\n"
 
     def test_workers_config_key_is_unknown(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -284,7 +279,6 @@ class TestSimulate:
             capsys,
             "simulate",
             "--config", str(cfg),
-            "--study", "coverage",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "5",
@@ -294,11 +288,20 @@ class TestSimulate:
         )
         assert (code, out, err) == (1, "", "error: --config file has unknown key(s): 'workers'\n")
 
+    def test_study_and_n_list_are_gone(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"study": "mse", "n-list": "5,6"}))
+        code, out, err = run(capsys, *SIMULATE, "--config", str(cfg), "--n", "50")
+        assert (code, out, err) == (1, "", "error: --config file has unknown key(s): 'study', 'n-list'\n")
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--study" not in help_text and "--n-list" not in help_text
+
     def test_invalid_tdist(self, capsys):
         code, _, err = run(
             capsys,
             "simulate",
-            "--study", "coverage",
             "--theta0", "0.2",
             "--s", "2",
             "--G", "3",
@@ -314,7 +317,6 @@ class TestSimulate:
         code, out, err = run(
             capsys,
             "simulate",
-            "--study", "coverage",
             "--theta0", "0.1",
             "--s", "2",
             "--G", "3",
@@ -455,16 +457,11 @@ class TestUsageErrors:
              "geomlife: error: unrecognized arguments: --output-format json"),
             (["check", "--input", str(DATA / "table1.csv"), "--random", "3", "--seed", "1", *DESIGN_FLAGS],
              "geomlife check: error: argument --random: not allowed with argument --input"),
-            ([*SIMULATE, "--study", "coverage", "--n", "100", "--n-list", "5,6"],
-             "geomlife simulate: error: argument --n-list: not allowed with argument --n"),
-            ([*SIMULATE, "--study", "mse", "--n-list", "5,6", "--n", "100"],
-             "geomlife simulate: error: argument --n: not allowed with argument --n-list"),
             (["estimate", "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS, "--config"],
              "geomlife estimate: error: argument --config: expected one argument"),
             (["--config"], "geomlife: error: argument --config: expected one argument"),
         ],
-        ids=["paths-output-format", "check-input-and-random", "simulate-n-and-n-list", "simulate-n-list-and-n",
-             "config-without-path", "top-level-config-without-path"],
+        ids=["paths-output-format", "check-input-and-random", "config-without-path", "top-level-config-without-path"],
     )
     def test_ignored_or_incomplete_flag(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -587,23 +584,23 @@ class TestConfigFile:
 
     def test_config_keys_of_other_subcommands_accepted(self, capsys, table1_path, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"s": 2, "G": 5, "n-list": "100,200", "theta0": 0.1}))
+        cfg.write_text(json.dumps({"s": 2, "G": 5, "n": "100,200", "theta0": 0.1}))
         code, _, _ = run(capsys, "estimate", "--config", str(cfg), "--input", str(table1_path))
         assert code == 0
 
     def test_config_values_are_not_flags_for_exclusive_groups(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n-list": "5,6"}))
-        code, out, _ = run(capsys, *SIMULATE, "--config", str(cfg), "--study", "coverage", "--n", "50")
+        cfg.write_text(json.dumps({"random": 3}))
+        code, out, _ = run(capsys, "check", "--config", str(cfg), "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS)
         assert code == 0
-        assert [row["n"] for row in json.loads(out)] == [50]
+        assert [row["case"] for row in json.loads(out)] == [0]
 
-    def test_explicit_n_beats_a_config_n_list(self, capsys, tmp_path):
+    def test_explicit_input_beats_a_config_random(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n-list": "100,200"}))
-        code, out, _ = run(capsys, *SIMULATE, "--config", str(cfg), "--study", "mse", "--n", "50")
+        cfg.write_text(json.dumps({"random": 3, "seed": 1}))
+        code, out, _ = run(capsys, "check", "--config", str(cfg), "--input", str(DATA / "table1.csv"), *DESIGN_FLAGS)
         assert code == 0
-        assert [row["n"] for row in json.loads(out)] == [50]
+        assert out.encode() == (GOLDEN / "check_table1.out").read_bytes()
 
     def test_explicit_random_beats_a_config_input(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -29,7 +29,7 @@ ESTIMATE_INPUTS = {  # "UNITS" stands for the path of the units_file fixture
     "table3": ["--input", str(DATA / "table3.csv")],
     "units": ["--input", "UNITS", "--format", "units"],
 }
-SIMULATE = ["-m", "geomlife.cli", "simulate", "--study", "clt", "--theta0", "0.1", "--K", "4", "--n", "50",
+SIMULATE = ["-m", "geomlife.cli", "simulate", "--theta0", "0.1", "--K", "4", "--n", "50",
             "--seed", "1", *COMMON]
 
 
@@ -118,7 +118,7 @@ def test_stdlib_subcommands_skip_dataclasses_and_statistics(tmp_path, units_file
         ["-m", "geomlife.cli", "check", "--input", str(DATA / "table1.csv"), *COMMON],
         ["-m", "geomlife.cli", "check", "--random", "3", "--seed", "1", "--s", "2"],
         ["-m", "geomlife.cli", "paths", "--x", "4", "--t", "3", "--theta", "0.1", *COMMON],
-        ["-m", "geomlife.cli", "simulate", "--study", "clt", "--theta0", "0.1", "--K", "4", "--n", "50",
+        ["-m", "geomlife.cli", "simulate", "--theta0", "0.1", "--K", "4", "--n", "50",
          "--seed", "1", *COMMON],
         ["-c", "import geomlife"],
         ["-c", "from geomlife import *"],

@@ -363,3 +363,32 @@ class TestPhysicalLineNumbers:
         path.write_text('t,d,censored\n"1\n",1,0\n0,1,0\n0,1,0\n9,1,0\n')
         with pytest.raises(PanelFormatError, match="^line 6: t 9"):
             count_units(path, 2, 5)
+
+    @pytest.mark.parametrize(
+        "data,cr_at,line",
+        [  # CR line ends; byte 8191, the last of the text stream's first 8 KiB chunk, is a \r before the 0xff
+            (b"t,d,censored\r" + b"0,1,0\r" * 1359 + b"0,,1\r" * 5 + b"\xff,1,0\r0,1,0\r", 8191, 1366),
+            # CRLF line ends; bytes 65535 and 65536 are a \r\n, split across two 64 KiB chunks of a re-read
+            (b"t,d,censored\r\n" + b"0,1,0\r\n" * 9357 + b"0,,1\r\n" * 4 + b"1,1,0\r\n\xff,1,0\r\n", 65535, 9364),
+        ],
+        ids=["cr-at-8-kib", "crlf-across-64-kib"],
+    )
+    def test_undecodable_byte_after_a_chunk_ending_in_cr(self, tmp_path, data, cr_at, line):
+        assert data[cr_at : cr_at + 1] == b"\r"
+        path = tmp_path / "units.csv"
+        path.write_bytes(data)
+        message = f"^line {line}: 'utf-8' codec can't decode byte 0xff"
+        with open(path, newline="", encoding="utf-8") as fh, pytest.raises(PanelFormatError, match=message):
+            parse_units(fh, 2, 5)
+        with pytest.raises(PanelFormatError, match=f"^line {line}: "):
+            count_units(path, 2, 5)
+
+    def test_undecodable_byte_in_an_unseekable_stream(self):
+        class Unseekable(io.BytesIO):
+            def seekable(self):
+                return False
+
+        data = b"t,d,censored\n" + b"0,1,0\n" * 2000 + b"1,\xe9,1\n"  # past the first 8 KiB chunk
+        stream = io.TextIOWrapper(Unseekable(data), encoding="utf-8", newline="")
+        with pytest.raises(PanelFormatError, match="^line 2002: 'utf-8' codec can't decode byte 0xe9"):
+            parse_units(stream, 2, 5)
