@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import ObservedUnit, StudyDesign, _make, check_theta, life_expectancy
+from .model import ObservedUnit, StudyDesign, _make, check_integer, check_theta, life_expectancy
 
 
 class NoRiskTimeError(ValueError):
@@ -41,8 +41,7 @@ class SufficientStats(
             raise ValueError("m must equal m_uncens + m_cens")
         if min(m_uncens, m_cens, duration_sum) < 0:
             raise ValueError("counts must be nonnegative")
-        if s < 1:
-            raise ValueError("window length s must be >= 1")
+        check_integer(s, "window length s", 1)
         if not m_uncens <= duration_sum <= s * m_uncens:
             raise ValueError(
                 f"duration_sum {duration_sum} incompatible with "

@@ -13,11 +13,14 @@ numpy is imported inside the functions that build arrays, so the scalar
 half of this module (designs, units, ``observe``) costs no numpy import.
 Records are ``typing.NamedTuple`` classes; a validated one checks its
 invariants in ``__new__`` and sets :data:`_make`, which ``_replace`` calls.
+Integer parameters (``s``, ``G``, ``x``, ``t``, a study's ``n``) are checked
+by :func:`check_integer`; a count must be a plain int.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -41,6 +44,14 @@ def check_theta(theta: float, eps: float = 0.0) -> float:
     return theta
 
 
+def check_integer(value: int, name: str, low: int) -> None:
+    """Validate an integer field >= ``low``: a numpy integer is one, a bool or a float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 class StudyDesign(NamedTuple("StudyDesign", [("s", int), ("G", int)])):
     """Observation-window length ``s`` and cohort count ``G``.
 
@@ -53,10 +64,8 @@ class StudyDesign(NamedTuple("StudyDesign", [("s", int), ("G", int)])):
     _make = _make
 
     def __new__(cls, s: int, G: int):
-        if s < 1:
-            raise ValueError(f"window length s must be >= 1, got {s}")
-        if G < 1:
-            raise ValueError(f"cohort count G must be >= 1, got {G}")
+        check_integer(s, "window length s", 1)
+        check_integer(G, "cohort count G", 1)
         return super().__new__(cls, s, G)
 
     @property
@@ -113,10 +122,8 @@ class LatentUnit(NamedTuple("LatentUnit", [("x", int), ("t", int)])):
     _make = _make
 
     def __new__(cls, x: int, t: int):
-        if x < 1:
-            raise ValueError(f"lifespan x must be >= 1, got {x}")
-        if t < 0:
-            raise ValueError(f"truncation age t must be >= 0, got {t}")
+        check_integer(x, "lifespan x", 1)
+        check_integer(t, "truncation age t", 0)
         return super().__new__(cls, x, t)
 
 

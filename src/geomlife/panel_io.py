@@ -9,12 +9,18 @@ summed.  A table is either marginal (every ``cohort`` empty) or stratified
 Unit-level files use header ``t,d,censored``.
 
 Both formats are read by one reader: ``_data_rows`` checks the header
-(``_check_header``), skips blank rows and strips the three cells of every
-other row (``_cells``), and each integer cell is parsed by ``_integer``, so
-an error names the same line and wording in either format.  The byte-level
+(``_check_header``, which allows a leading byte-order mark), skips blank
+rows and strips the three cells of every other row (``_cells``), and each
+integer cell is parsed by ``_integer``, so an error names the same line
+and wording in either format.  The byte-level
 fast path of :func:`count_units` applies the same header, row and cell
 rules to each distinct line, and both of its paths tally one ``Counter``
 of ``(t, d, censored)``.
+
+A strict text stream is switched to ``errors="surrogateescape"`` and left
+so: an undecodable byte reaches its row and is reported on its own line, in
+file order, from a file or a pipe alike.  :func:`parse_aggregate` and
+:func:`parse_units` read their stream to its end or first error.
 
 Every input becomes one :class:`AggregateTable`, G + 1 rows of s + 1
 exact ints: row t is cohort t, row G a marginal table's counts; columns
@@ -84,9 +90,11 @@ class AggregateTable(NamedTuple("AggregateTable", [("s", int), ("G", int), ("row
 
 
 def _check_header(header: list[str] | None, expected: list[str]) -> None:
-    """Raise unless the header row (None for empty input) is ``expected``, up to padding."""
+    """Raise unless the header row (None for empty input) is ``expected``, up to padding and a byte-order mark."""
     if header is None:
         raise PanelFormatError(f"empty input; expected header {','.join(expected)}")
+    if header and header[0].startswith("\ufeff"):  # as Excel's "CSV UTF-8" writes
+        header = [header[0][1:], *header[1:]]
     if [h.strip() for h in header] != expected:
         raise PanelFormatError(f"expected header {','.join(expected)}, got {','.join(header)}", line=1)
 
@@ -105,30 +113,34 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
 
     ``line`` is the physical line the row ends on, which differs from the
     row count after a quoted cell spanning lines.  A csv-level error or
-    an undecodable byte becomes a PanelFormatError.
+    an undecodable byte, which reaches its row as a lone surrogate once a
+    strict stream reads with ``errors="surrogateescape"``, becomes a
+    PanelFormatError.
     """
+    if isinstance(stream, io.TextIOWrapper) and stream.errors == "strict":
+        stream.reconfigure(errors="surrogateescape")
     reader = csv.reader(stream)
+    rows = (_decodable(row, stream, reader.line_num) for row in reader)
     try:
-        _check_header(next(reader, None), header)
-        for row in reader:
+        _check_header(next(rows, None), header)
+        for row in rows:
             cells = _cells(row, reader.line_num)
             if cells is not None:
                 yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
-    except UnicodeDecodeError as exc:
-        raw = getattr(stream, "buffer", None)
-        if raw is not None and raw.seekable():  # count the line ends before the byte, from the file's start
-            end = raw.tell() - len(exc.object) + exc.start  # exc.object is the chunk read last
-            raw.seek(0)
-            line, cr_before = 1, False  # a \r ending one chunk and a \n starting the next are one line end
-            for chunk in iter(lambda: raw.read(min(end - raw.tell(), 1 << 16)), b""):
-                line += _line_ends(chunk) - (cr_before and chunk.startswith(b"\n"))
-                cr_before = chunk.endswith(b"\r")
-        else:  # exc.object begins on line line_num + 1, unless an uncounted \r ended the chunk before it
-            line = reader.line_num + _line_ends(exc.object[: exc.start]) + 1
-        message = f"{exc.encoding!r} codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
-        raise PanelFormatError(message, line=line) from None
+
+
+def _decodable(row: list[str], stream: io.TextIOBase, lineno: int) -> list[str]:
+    """``row``, unless a ``surrogateescape`` stream read a byte into it that its codec cannot decode."""
+    if not all(map(str.isascii, row)) and getattr(stream, "errors", None) == "surrogateescape":
+        data = (",".join(row) + "\n").encode(stream.encoding, "surrogateescape")
+        try:  # decoded strictly again for the codec's own byte and reason
+            data.decode(stream.encoding)
+        except UnicodeDecodeError as exc:
+            message = f"{exc.encoding!r} codec can't decode byte {data[exc.start]:#04x}: {exc.reason}"
+            raise PanelFormatError(message, line=lineno - _line_ends(data[exc.start : -1])) from None
+    return row
 
 
 def _line_ends(data: bytes) -> int:
@@ -147,7 +159,11 @@ def _integer(raw: str, name: str, lineno: int | None, expected: str = "is not an
 
 
 def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
-    """Parse and validate a long-format aggregate CSV."""
+    """Parse and validate a long-format aggregate CSV.
+
+    Reads ``stream`` to its end or first error, and leaves a strict one in
+    ``errors="surrogateescape"`` mode.
+    """
     rows = [[0] * (s + 1) for _ in range(G + 1)]
     marginal = None  # kind of the first data row; every later row must match
     for lineno, (raw_cohort, raw_outcome, raw_count) in _data_rows(stream, AGGREGATE_HEADER):
@@ -210,6 +226,8 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
     """Parse unit-level records ``t,d,censored`` (censored rows may omit d).
 
     One object per row: the per-row reference for :func:`count_units`.
+    Reads ``stream`` to its end or first error, and leaves a strict one in
+    ``errors="surrogateescape"`` mode.
     """
     return [ObservedUnit(*parsed) for parsed in _unit_rows(stream, s, G)]
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import SufficientStats
-from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_theta,
+from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_integer, check_theta,
                     observation_probability)
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
@@ -47,9 +47,9 @@ class SimConfig(
     def __new__(cls, theta0: float, design: StudyDesign, tdist: TruncationDist, n: int, n_replicates: int,
                 seed: int, level: float = 0.95):
         check_theta(theta0, eps=THETA_EPS)  # the range sample_units accepts
-        if n < 1 or n_replicates < 1:
-            raise ValueError("n and n_replicates must be >= 1")
-        if not isinstance(seed, numbers.Integral) or seed < 0:
+        check_integer(n, "n", 1)
+        check_integer(n_replicates, "n_replicates", 1)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if not 0.0 < level < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {level}")

@@ -270,7 +270,11 @@ class TestSimulate:
 
     def test_bad_n_is_rejected_before_any_study_runs(self, capsys):
         code, out, err = run(capsys, *SIMULATE, "--n", "10,-5")
-        assert (code, out, err) == (1, "", "error: n and n_replicates must be >= 1\n")  # no study's stderr line
+        assert (code, out, err) == (1, "", "error: n must be >= 1, got -5\n")  # no study's stderr line
+
+    def test_bad_k_names_n_replicates(self, capsys):
+        code, out, err = run(capsys, *SIMULATE, "--K", "0", "--n", "10")
+        assert (code, out, err) == (1, "", "error: n_replicates must be >= 1, got 0\n")
 
     def test_workers_config_key_is_unknown(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

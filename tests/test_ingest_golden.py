@@ -21,6 +21,7 @@ S, G = 2, 5
 
 AGG = b"cohort,outcome,count\n"
 UNITS = b"t,d,censored\n"
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark, as Excel's "CSV UTF-8" writes before the header
 
 AGGREGATE_CASES = {
     "empty": b"",
@@ -60,6 +61,8 @@ AGGREGATE_CASES = {
     "lone_cr": AGG + b"0,1,5\r0,2,3\n",
     "undecodable_byte": AGG + b"0,1,5\n\xe9,1,5\n",
     "long_cell": AGG + b"0,1,5\n\n0,2," + b"9" * (2**17 + 1) + b"\n",
+    "row_error_before_undecodable_byte": AGG + b"0,1,5\n9,1,5\n0,1,5\n\xe9,1,5\n",
+    "byte_order_mark": BOM + AGG + b",1,5\n,2,4\n,cens,9\n",
 }
 
 UNIT_CASES = {
@@ -104,6 +107,9 @@ UNIT_CASES = {
     "undecodable_byte_past_first_8_kib": UNITS + b"0,1,0\n" * 2000 + b"1,\xe9,1\n" + b"2,2,0\n" * 9,
     "undecodable_byte_after_lone_crs": UNITS + b"0,1,0\r1,1,0\r\n\xe9,1,0\n",
     "long_cell": UNITS + b"0," + b"9" * (2**17 + 1) + b",0\n",
+    "row_error_before_undecodable_byte": UNITS + b"0,1,0\n9,1,0\n0,1,0\n\xe9,1,0\n",
+    "undecodable_byte_ending_the_file": UNITS + b"0,1,0\n1,2,\xe4",
+    "byte_order_mark": BOM + UNITS + b"0,1,0\n0,1,0\n3,2,0\n4,,1\n1,2,1\n",
 }
 
 
@@ -143,6 +149,12 @@ def ingest_results(directory: Path) -> dict:
 
 def test_ingest_results_match_the_recording(tmp_path):
     assert ingest_results(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+def test_a_byte_order_mark_changes_no_result():
+    recorded = json.loads(GOLDEN.read_text())
+    assert recorded["aggregate/byte_order_mark"] == recorded["aggregate/marginal_only"]
+    assert recorded["units/byte_order_mark"] == recorded["units/valid_mix"]
 
 
 if __name__ == "__main__":

@@ -342,6 +342,13 @@ class TestLongCells:
             parse(io.StringIO(text), 2, 5)
 
 
+class Unseekable(io.BytesIO):
+    """Bytes that cannot be re-read, as from a pipe."""
+
+    def seekable(self):
+        return False
+
+
 class TestPhysicalLineNumbers:
     """After a quoted cell spanning two lines, errors still name the file's line."""
 
@@ -384,11 +391,41 @@ class TestPhysicalLineNumbers:
             count_units(path, 2, 5)
 
     def test_undecodable_byte_in_an_unseekable_stream(self):
-        class Unseekable(io.BytesIO):
-            def seekable(self):
-                return False
-
         data = b"t,d,censored\n" + b"0,1,0\n" * 2000 + b"1,\xe9,1\n"  # past the first 8 KiB chunk
         stream = io.TextIOWrapper(Unseekable(data), encoding="utf-8", newline="")
         with pytest.raises(PanelFormatError, match="^line 2002: 'utf-8' codec can't decode byte 0xe9"):
             parse_units(stream, 2, 5)
+
+    def test_unseekable_stream_after_a_chunk_ending_in_cr(self):
+        data = b"t,d,censored\r" + b"0,1,0\r" * 1359 + b"0,,1\r" * 5 + b"\xff,1,0\r0,1,0\r"
+        assert data[8191:8193] == b"\r\xff"  # the first 8 KiB decode chunk ends in the \r
+        stream = io.TextIOWrapper(Unseekable(data), encoding="utf-8", newline="")
+        with pytest.raises(PanelFormatError, match="^line 1366: 'utf-8' codec can't decode byte 0xff: invalid start byte$"):
+            parse_units(stream, 2, 5)
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            (b'"1\xe9\n\n",1,0\n', 3),  # the cell's first line
+            (b'"1\n\xe9\n",1,0\n', 4),
+            (b'"1\r\n\r\n\xe9",1,0\r\n', 5),  # its last
+        ],
+    )
+    def test_undecodable_byte_in_a_cell_spanning_lines(self, body, line):
+        data = b"t,d,censored\n0,1,0\n" + body + b"0,1,0\n"
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        with pytest.raises(PanelFormatError, match=f"^line {line}: 'utf-8' codec can't decode byte 0xe9"):
+            parse_units(stream, 2, 5)
+
+    @pytest.mark.parametrize("parse,header", [(parse_units, b"t,d,censored"), (parse_aggregate, b"cohort,outcome,count")])
+    def test_surrogateescape_stream_gets_the_codec_message(self, parse, header):
+        data = header + b"\n0,1,0\n\xe9,1,0\n"
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="")
+        with pytest.raises(PanelFormatError) as err:
+            parse(stream, 2, 5)
+        assert str(err.value) == "line 3: 'utf-8' codec can't decode byte 0xe9: invalid continuation byte"
+
+    def test_strict_stream_is_left_in_surrogateescape_mode(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"t,d,censored\n0,1,0\n"), encoding="utf-8", newline="")
+        assert parse_units(stream, 2, 5) == [ObservedUnit(0, 1, False)]
+        assert stream.errors == "surrogateescape"

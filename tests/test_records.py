@@ -6,6 +6,7 @@ the constructor's checks.
 
 import re
 
+import numpy as np
 import pytest
 
 from geomlife.estimator import SufficientStats
@@ -61,28 +62,58 @@ class TestRecord:
         assert record != other
 
 
-# a valid record, a change its checks reject, and a change they accept
+# a valid record, changes its checks reject, and a change they accept; an integer field takes
+# neither a bool nor a float, integral or not
 VALIDATED = [
-    (StudyDesign(2, 5), {"s": 0}, {"s": 3}),
-    (TruncationDist([0.5, 0.5]), {"pmf": (0.5, 0.6)}, {"pmf": (0.25, 0.75)}),
-    (LatentUnit(3, 1), {"x": 0}, {"t": 2}),
-    (SufficientStats(3, 2, 1, 3, 2), {"m_uncens": -7}, {"duration_sum": 4}),
-    (AggregateTable(1, 1, [[1, 2], [0, 0]]), {"rows": ((1, -2), (0, 0))}, {"rows": ((1, 2), (0, 5))}),
-    (sim_config(), {"n": 0}, {"n": 5}),
+    (StudyDesign(2, 5), [{"s": 0}, {"s": 2.5}, {"s": True}, {"G": 5.0}], {"s": 3}),
+    (TruncationDist([0.5, 0.5]), [{"pmf": (0.5, 0.6)}], {"pmf": (0.25, 0.75)}),
+    (LatentUnit(3, 1), [{"x": 0}, {"x": 2.5}, {"t": True}], {"t": 2}),
+    (SufficientStats(3, 2, 1, 3, 2), [{"m_uncens": -7}, {"s": 2.5}, {"s": True}], {"duration_sum": 4}),
+    (AggregateTable(1, 1, [[1, 2], [0, 0]]), [{"rows": ((1, -2), (0, 0))}], {"rows": ((1, 2), (0, 5))}),
+    (
+        sim_config(),
+        [{"n": 0}, {"n": 10.5}, {"n": True}, {"n_replicates": 2.5}, {"n_replicates": 0}, {"seed": True}],
+        {"n": 5},
+    ),
 ]
 
 
-@pytest.mark.parametrize("record,bad,good", VALIDATED, ids=[type(record).__name__ for record, _, _ in VALIDATED])
-def test_make_and_replace_run_the_constructor_checks(record, bad, good):
+@pytest.mark.parametrize("record,bads,good", VALIDATED, ids=[type(record).__name__ for record, _, _ in VALIDATED])
+def test_make_and_replace_run_the_constructor_checks(record, bads, good):
     cls = type(record)
-    values = [bad.get(name, value) for name, value in zip(cls._fields, record)]
-    with pytest.raises(ValueError) as built:
-        cls(*values)
-    message = f"^{re.escape(str(built.value))}$"
-    with pytest.raises(type(built.value), match=message):
-        cls._make(values)
-    with pytest.raises(type(built.value), match=message):
-        record._replace(**bad)
+    for bad in bads:
+        values = [bad.get(name, value) for name, value in zip(cls._fields, record)]
+        with pytest.raises(ValueError) as built:
+            cls(*values)
+        message = f"^{re.escape(str(built.value))}$"
+        with pytest.raises(type(built.value), match=message):
+            cls._make(values)
+        with pytest.raises(type(built.value), match=message):
+            record._replace(**bad)
     replaced = record._replace(**good)
     assert type(replaced) is cls
     assert replaced == cls(**{**record._asdict(), **good})
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: StudyDesign(2.5, 5), "window length s must be an integer, got 2.5"),
+        (lambda: StudyDesign(True, 5), "window length s must be an integer, got True"),
+        (lambda: LatentUnit(2.5, 0), "lifespan x must be an integer, got 2.5"),
+        (lambda: SufficientStats(3, 2, 1, 3, s=2.5), "window length s must be an integer, got 2.5"),
+        (lambda: sim_config(n=10.5), "n must be an integer, got 10.5"),
+        (lambda: sim_config(n=True), "n must be an integer, got True"),
+        (lambda: sim_config()._replace(n_replicates=2.5), "n_replicates must be an integer, got 2.5"),
+        (lambda: sim_config(n=-5), "n must be >= 1, got -5"),
+        (lambda: sim_config()._replace(n_replicates=0), "n_replicates must be >= 1, got 0"),
+    ],
+)
+def test_integer_fields_name_the_field_and_the_value(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_numpy_integers_are_integers():
+    assert StudyDesign(np.int64(2), np.int32(5)) == StudyDesign(2, 5)
+    assert sim_config(n=np.int64(100)) == sim_config()
