@@ -10,9 +10,13 @@ both, and rejects a flag its mode does not read.  A JSON file passed via
 ``--config``, before or after the subcommand, supplies defaults for any
 flag (command-line flags win).
 
-``estimate``, ``check --input`` and ``paths`` run on the standard library
-alone: numpy is imported only by ``simulate`` and ``check --random``, and
-only when they run.
+Each subcommand imports only the package modules it runs, inside the
+functions that run them: ``estimate`` loads ``panel_io`` and
+``estimator``; ``check`` adds ``likelihood``; ``paths`` loads ``model``,
+``estimator`` and ``paths``; ``simulate`` loads ``model``, ``estimator``
+and ``simulation``.  numpy is imported only by ``simulate`` and ``check
+--random``, ``json`` only for JSON output or a ``--config`` file, and no
+subcommand imports ``statistics``.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import numbers
 import sys
+from typing import TYPE_CHECKING
 
-from . import panel_io
-from .estimator import SufficientStats, estimate, theta_hat
-from .model import LatentUnit, StudyDesign, TruncationDist
+if TYPE_CHECKING:
+    from .estimator import SufficientStats
+    from .model import TruncationDist
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -76,6 +80,8 @@ def _write_text(text: str, output: str | None) -> None:
 
 
 def _dump_json(obj, output: str | None) -> None:
+    import json
+
     _write_text(json.dumps(_json_ready(obj), sort_keys=True, indent=2) + "\n", output)
 
 
@@ -89,6 +95,8 @@ def _dump_csv(rows: list[dict], columns: list[str], output: str | None) -> None:
 
 
 def _parse_tdist(value: str, G: int) -> TruncationDist:
+    from .model import TruncationDist
+
     if value == "uniform":
         return TruncationDist.uniform(G)
     try:
@@ -138,8 +146,12 @@ def _summarize_estimate(result) -> str:
 
 
 def _load_stats(args) -> SufficientStats:
+    from . import panel_io
+    from .estimator import check_integer
+
     _require(args, ["input", "s", "G"])
-    StudyDesign(s=args.s, G=args.G)  # names a bad --s or --G before any row is read
+    check_integer(args.s, "window length s", 1)  # as StudyDesign does, before any row is read
+    check_integer(args.G, "cohort count G", 1)
     if args.format == "units":
         table = panel_io.count_units(args.input, s=args.s, G=args.G)
     else:
@@ -149,6 +161,8 @@ def _load_stats(args) -> SufficientStats:
 
 
 def cmd_estimate(args) -> int:
+    from .estimator import estimate
+
     if not 0.0 < args.level < 1.0:  # named before any row is read, as --s and --G are
         raise ValueError(f"--level must be in (0, 1), got {args.level}")
     stats = _load_stats(args)
@@ -169,6 +183,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .model import StudyDesign
     from .simulation import SimConfig, run_study
 
     _require(args, ["theta0", "n", "s", "G", "K", "seed"])
@@ -203,6 +218,8 @@ def cmd_simulate(args) -> int:
 def _random_check_stats(seed: int, count: int, s: int) -> list[SufficientStats]:
     import numpy as np
 
+    from .estimator import SufficientStats
+
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
@@ -222,6 +239,7 @@ def _random_check_stats(seed: int, count: int, s: int) -> list[SufficientStats]:
 
 
 def cmd_check(args) -> int:
+    from .estimator import theta_hat
     from .likelihood import grid_argmax
 
     _require(args, ["s"])
@@ -272,6 +290,7 @@ def _reject_unread_check_flags(args, given) -> None:
 
 
 def cmd_paths(args) -> int:
+    from .model import LatentUnit, StudyDesign
     from .paths import PATH_COLUMNS, build_paths
 
     _require(args, ["x", "t", "s", "G", "theta"])
@@ -349,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_value(key: str, value, action: argparse.Action):
     """A ``--config`` value read as the command line reads its flag: same type, same choices."""
+    import json
+
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"--config key {key!r}: expected a string or a number, got {json.dumps(value)}")
     text = value if isinstance(value, str) else json.dumps(value)
@@ -369,6 +390,8 @@ def _apply_config(parser: argparse.ArgumentParser, given: argparse.Namespace) ->
     of its mutually exclusive group: a config value for the other member
     would be a default the command reads in place of the given flag.
     """
+    import json
+
     with open(given.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):

@@ -15,9 +15,12 @@ the closed-form estimator; it never uses the m_uncens / R formula.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .estimator import NoRiskTimeError, SufficientStats
-from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
+from .estimator import THETA_EPS, NoRiskTimeError, SufficientStats, check_theta
+
+if TYPE_CHECKING:
+    from .model import LatentUnit, StudyDesign
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -85,8 +88,15 @@ def grid_argmax(stats: SufficientStats) -> float:
     first, last = THETA_EPS, 1.0 - THETA_EPS
     step = (last - first) / (GRID_POINTS - 1)
     grid = tuple(i * step + first for i in range(GRID_POINTS - 1)) + (last,)  # np.linspace, bit for bit
-    values = tuple(conditional_loglik(stats, th) for th in grid)
+    events, survivals, log = stats.m_uncens, stats.risk_time - stats.m_uncens, math.log
+
+    # conditional_loglik without its per-point check and property read: every th
+    # searched lies in (0, 1), where _xlogy's special cases give the same floats
+    def loglik(th: float) -> float:
+        return events * log(th) + survivals * log(1.0 - th)
+
+    values = tuple(map(loglik, grid))
     k = max(range(GRID_POINTS), key=values.__getitem__)  # the first maximum, as np.argmax
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, GRID_POINTS - 1)]
-    return _golden_section_max(lambda th: conditional_loglik(stats, th), lo, hi)
+    return _golden_section_max(loglik, lo, hi)

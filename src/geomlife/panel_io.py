@@ -19,8 +19,10 @@ of ``(t, d, censored)``.
 
 A strict text stream is switched to ``errors="surrogateescape"`` and left
 so: an undecodable byte reaches its row and is reported on its own line, in
-file order, from a file or a pipe alike.  :func:`parse_aggregate` and
-:func:`parse_units` read their stream to its end or first error.
+file order, from a file or a pipe alike.  A strict stream the caller has
+already read from cannot be switched and is read as it is.
+:func:`parse_aggregate` and :func:`parse_units` read their stream to its
+end or first error.
 
 Every input becomes one :class:`AggregateTable`, G + 1 rows of s + 1
 exact ints: row t is cohort t, row G a marginal table's counts; columns
@@ -34,10 +36,12 @@ import csv
 import io
 from collections import Counter
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .estimator import SufficientStats
-from .model import ObservedUnit, _make
+from .estimator import SufficientStats, _make
+
+if TYPE_CHECKING:
+    from .model import ObservedUnit
 
 CENSORED_OUTCOME = "cens"
 
@@ -115,10 +119,16 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
     row count after a quoted cell spanning lines.  A csv-level error or
     an undecodable byte, which reaches its row as a lone surrogate once a
     strict stream reads with ``errors="surrogateescape"``, becomes a
-    PanelFormatError.
+    PanelFormatError.  A strict stream the caller has already read from
+    cannot be switched; it is read as it is, and an undecodable byte is
+    reported on the line after the last row read.  The codec decodes ahead
+    of the rows, so the byte may be on a later line, and the message says so.
     """
     if isinstance(stream, io.TextIOWrapper) and stream.errors == "strict":
-        stream.reconfigure(errors="surrogateescape")
+        try:
+            stream.reconfigure(errors="surrogateescape")
+        except io.UnsupportedOperation:  # decoded text is buffered already
+            pass
     reader = csv.reader(stream)
     rows = (_decodable(row, stream, reader.line_num) for row in reader)
     try:
@@ -129,6 +139,9 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
                 yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
+    except UnicodeDecodeError as exc:  # a strict stream that could not be switched; it decodes ahead of the rows
+        message = f"{_decode_message(exc)} (on this line or a later one)"
+        raise PanelFormatError(message, line=reader.line_num + 1) from None
 
 
 def _decodable(row: list[str], stream: io.TextIOBase, lineno: int) -> list[str]:
@@ -138,9 +151,13 @@ def _decodable(row: list[str], stream: io.TextIOBase, lineno: int) -> list[str]:
         try:  # decoded strictly again for the codec's own byte and reason
             data.decode(stream.encoding)
         except UnicodeDecodeError as exc:
-            message = f"{exc.encoding!r} codec can't decode byte {data[exc.start]:#04x}: {exc.reason}"
-            raise PanelFormatError(message, line=lineno - _line_ends(data[exc.start : -1])) from None
+            raise PanelFormatError(_decode_message(exc), line=lineno - _line_ends(data[exc.start : -1])) from None
     return row
+
+
+def _decode_message(exc: UnicodeDecodeError) -> str:
+    """The codec's byte and reason, without its position in a buffer the user never sees."""
+    return f"{exc.encoding!r} codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
 
 
 def _line_ends(data: bytes) -> int:
@@ -162,7 +179,7 @@ def parse_aggregate(stream: io.TextIOBase, s: int, G: int) -> AggregateTable:
     """Parse and validate a long-format aggregate CSV.
 
     Reads ``stream`` to its end or first error, and leaves a strict one in
-    ``errors="surrogateescape"`` mode.
+    ``errors="surrogateescape"`` mode unless it was read before.
     """
     rows = [[0] * (s + 1) for _ in range(G + 1)]
     marginal = None  # kind of the first data row; every later row must match
@@ -227,8 +244,10 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
 
     One object per row: the per-row reference for :func:`count_units`.
     Reads ``stream`` to its end or first error, and leaves a strict one in
-    ``errors="surrogateescape"`` mode.
+    ``errors="surrogateescape"`` mode unless it was read before.
     """
+    from .model import ObservedUnit  # here, so that count_units and estimate never import model
+
     return [ObservedUnit(*parsed) for parsed in _unit_rows(stream, s, G)]
 
 

@@ -6,10 +6,15 @@ nothing loads scipy, which is a test-only dependency, and ``simulate``
 starts no process pool.  Each case runs a fresh interpreter with
 ``-X importtime`` and reads the modules it imported from stderr.
 
-The three standard-library subcommands also leave out the slow stdlib
-modules the package does not need: none loads ``dataclasses``, and only
-``estimate``, for its normal quantile, loads ``statistics``.  ``simulate``
-does not load ``dataclasses`` either.
+The three standard-library subcommands also leave out the modules they do
+not run: ``estimate`` loads ``geomlife.panel_io`` and
+``geomlife.estimator``, ``check --input`` adds ``geomlife.likelihood``,
+and neither loads ``geomlife.model``; ``paths`` loads ``geomlife.model``,
+``geomlife.estimator`` and ``geomlife.paths`` but not
+``geomlife.panel_io``.  None loads ``dataclasses`` or ``statistics``;
+``json`` is loaded for JSON output only, so ``paths`` and ``estimate
+--output-format csv`` skip it.  ``simulate`` does not load
+``dataclasses`` either.
 """
 
 import os
@@ -90,26 +95,34 @@ def interpreter_modules(tmp_path_factory):
     return imported_modules("-c", "pass", cwd=tmp_path_factory.mktemp("bare"))
 
 
+#: What estimate and check --input do not run, and what paths does not run.
+NOT_IN_ESTIMATE = {"dataclasses", "statistics", "geomlife.model"}
+NOT_IN_PATHS = {"dataclasses", "statistics", "geomlife.panel_io", "json"}
+
+
 @pytest.mark.parametrize(
-    "argv,unwanted",
+    "argv,module,unwanted",
     [
         *[
-            (["estimate", *source, "--output-format", fmt], {"dataclasses"})
+            (["estimate", *source, "--output-format", fmt], "geomlife.estimator",
+             NOT_IN_ESTIMATE | ({"json"} if fmt == "csv" else set()))
             for source in ESTIMATE_INPUTS.values()
             for fmt in ("json", "csv")
         ],
-        (["check", "--input", str(DATA / "table1.csv")], {"dataclasses", "statistics"}),
-        (["check", "--input", "UNITS", "--format", "units"], {"dataclasses", "statistics"}),
-        (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], {"dataclasses", "statistics"}),
+        (["check", "--input", str(DATA / "table1.csv")], "geomlife.likelihood", NOT_IN_ESTIMATE),
+        (["check", "--input", "UNITS", "--format", "units"], "geomlife.likelihood", NOT_IN_ESTIMATE),
+        (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], "geomlife.paths", NOT_IN_PATHS),
     ],
     ids=[*[f"estimate-{name}-{fmt}" for name in ESTIMATE_INPUTS for fmt in ("json", "csv")],
          "check-aggregate", "check-units", "paths"],
 )
-def test_stdlib_subcommands_skip_dataclasses_and_statistics(tmp_path, units_file, interpreter_modules, argv, unwanted):
+def test_stdlib_subcommands_skip_dataclasses_and_statistics(
+    tmp_path, units_file, interpreter_modules, argv, module, unwanted
+):
     argv = [str(units_file) if arg == "UNITS" else arg for arg in argv]
-    modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path)
-    assert "geomlife.panel_io" in modules  # the probe sees the program's imports
-    assert not top_level(modules - interpreter_modules) & unwanted
+    modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path) - interpreter_modules
+    assert module in modules  # the probe sees the subcommand's own module
+    assert not (modules | top_level(modules)) & unwanted
 
 
 @pytest.mark.parametrize(

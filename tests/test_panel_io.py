@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomlife import panel_io
+from geomlife import model, panel_io
 from geomlife.estimator import theta_hat
 from geomlife.model import ObservedUnit, StudyDesign, TruncationDist, observe_arrays, sample_units
 from geomlife.panel_io import (
@@ -206,7 +206,7 @@ class TestCountUnits:
         def refuse(*args, **kwargs):
             raise AssertionError("count_units built an ObservedUnit")
 
-        monkeypatch.setattr(panel_io, "ObservedUnit", refuse)
+        monkeypatch.setattr(model, "ObservedUnit", refuse)  # parse_units imports it from there
         path = tmp_path / "units.csv"
         path.write_bytes(b't,d,censored\n"0",1,0\n1,,1\n0,1,0\n')  # the quoted cell needs the csv rules
         assert count_units(path, 2, 5).rows == ((2, 0, 0), (0, 0, 1), *[(0, 0, 0)] * 4)
@@ -429,3 +429,22 @@ class TestPhysicalLineNumbers:
         stream = io.TextIOWrapper(io.BytesIO(b"t,d,censored\n0,1,0\n"), encoding="utf-8", newline="")
         assert parse_units(stream, 2, 5) == [ObservedUnit(0, 1, False)]
         assert stream.errors == "surrogateescape"
+
+    @pytest.mark.parametrize(
+        "parse,text", [(parse_units, "t,d,censored\n0,1,0\n1,,1\n2,2,0\n"), (parse_aggregate, table3_csv())]
+    )
+    def test_stream_read_before_parsing(self, parse, text):
+        stream = io.TextIOWrapper(io.BytesIO(b"# preamble\n" + text.encode()), encoding="utf-8", newline="")
+        assert stream.readline() == "# preamble\n"  # decoded text is buffered: the stream cannot be reconfigured
+        unread = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+        assert parse(stream, 2, 5) == parse(unread, 2, 5)
+        assert stream.errors == "strict"
+
+    @pytest.mark.parametrize("parse,header", [(parse_units, b"t,d,censored"), (parse_aggregate, b"cohort,outcome,count")])
+    def test_undecodable_byte_in_a_stream_read_before_parsing(self, parse, header):
+        data = b"# preamble\n" + header + b"\n" + b"0,1,0\n" * 2000 + b"\xe9,1,0\n"  # past the first 8 KiB chunk
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        stream.readline()
+        with pytest.raises(PanelFormatError, match="'utf-8' codec can't decode byte 0xe9: .* or a later one") as err:
+            parse(stream, 2, 5)
+        assert 1 <= err.value.line <= 2002  # the codec decodes ahead of the rows: at or before the byte's line
