@@ -16,7 +16,6 @@ _EXPORTS = {
     "NoRiskTimeError": "estimator",
     "SufficientStats": "estimator",
     "estimate": "estimator",
-    "life_expectancy": "estimator",
     "sufficient_stats": "estimator",
     "theta_hat": "estimator",
     "var_hat": "estimator",
@@ -30,6 +29,7 @@ _EXPORTS = {
     "TruncationDist": "model",
     "geom_pmf": "model",
     "geom_survival": "model",
+    "life_expectancy": "model",
     "observe": "model",
     "sample_units": "model",
     "AggregateTable": "panel_io",

@@ -11,12 +11,11 @@ both, and rejects a flag its mode does not read.  A JSON file passed via
 flag (command-line flags win).
 
 Each subcommand imports only the package modules it runs, inside the
-functions that run them: ``estimate`` loads ``panel_io`` and
-``estimator``; ``check`` adds ``likelihood``; ``paths`` loads ``model``,
-``estimator`` and ``paths``; ``simulate`` loads ``model``, ``estimator``
-and ``simulation``.  numpy is imported only by ``simulate`` and ``check
---random``, ``json`` only for JSON output or a ``--config`` file, and no
-subcommand imports ``statistics``.
+functions that run them: ``estimate`` loads ``panel_io``, ``estimator``
+and ``model``; ``check`` adds ``likelihood``; ``paths`` loads ``model``
+and ``paths``; ``simulate`` loads ``model``, ``estimator`` and
+``simulation``.  numpy is imported only by ``simulate`` and ``check
+--random``, ``json`` only for JSON output or a ``--config`` file.
 """
 
 from __future__ import annotations
@@ -147,11 +146,10 @@ def _summarize_estimate(result) -> str:
 
 def _load_stats(args) -> SufficientStats:
     from . import panel_io
-    from .estimator import check_integer
+    from .model import StudyDesign
 
     _require(args, ["input", "s", "G"])
-    check_integer(args.s, "window length s", 1)  # as StudyDesign does, before any row is read
-    check_integer(args.G, "cohort count G", 1)
+    StudyDesign(s=args.s, G=args.G)  # names a bad --s or --G before any row is read
     if args.format == "units":
         table = panel_io.count_units(args.input, s=args.s, G=args.G)
     else:

@@ -11,54 +11,14 @@ the number of observed failures over the total observed risk time, and
 estimates its variance.  All counts are kept as exact integers; division
 happens once, at the end, so identical integer inputs give bit-identical
 estimates.
-
-This module also holds the validators that every record shares
-(:func:`check_theta`, :func:`check_integer`, :data:`_make`), so that
-``estimate`` and ``check --input`` run without importing :mod:`.model`,
-and its own normal quantile, so that no subcommand imports ``statistics``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-if TYPE_CHECKING:
-    from .model import ObservedUnit, StudyDesign
-
-#: Default half-width trimmed off the parameter space [eps, 1 - eps].
-THETA_EPS = 1e-6
-
-#: ``_make`` for a validated record.  namedtuple's own ``_make``, which its
-#: ``_replace`` calls, builds the tuple with ``tuple.__new__`` and so skips
-#: the checks in ``__new__``; this one calls the class.
-_make = classmethod(lambda cls, values: cls(*values))
-
-
-def check_theta(theta: float, eps: float = 0.0) -> float:
-    """Validate a closure probability, optionally against [eps, 1 - eps]."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if eps and not eps <= theta <= 1.0 - eps:
-        raise ValueError(f"theta must lie in [{eps}, {1.0 - eps}], got {theta}")
-    return theta
-
-
-def check_integer(value: int, name: str, low: int) -> None:
-    """Validate an integer field >= ``low``: a numpy integer is one, a bool or a float is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
-def life_expectancy(theta: float) -> float:
-    """Mean lifespan 1/theta of the geometric distribution on {1, 2, ...}."""
-    check_theta(theta)
-    if theta == 0.0:
-        raise ValueError("life expectancy is undefined at theta = 0")
-    return 1.0 / theta
+from .model import ObservedUnit, StudyDesign, _make, check_integer, check_theta, life_expectancy
 
 
 class NoRiskTimeError(ValueError):
@@ -174,65 +134,13 @@ def var_hat(stats: SufficientStats, theta: float) -> float:
     return theta * (1.0 - theta) / R
 
 
-# Wichura's AS241 coefficients, highest power first: (numerator, denominator)
-# for the centre |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2, then for
-# the tails in r = sqrt(-log(min(p, 1 - p))) - 1.6 (r <= 5) and r - 5.
-_AS241_CENTRE = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
-     1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
-     5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR_TAIL = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1, 1.2704582524523683826e0,
-     3.6478483247632046050e0, 5.7694972214606914055e0, 4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2, 1.4810397642748007459e-1,
-     6.8976733498510000455e-1, 1.6763848301838038494e0, 2.0531916266377588219e0, 1.0),
-)
-_AS241_FAR_TAIL = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3, 2.6532189526576123093e-2,
-     2.9656057182850489123e-1, 1.7848265399172913358e0, 5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5, 7.8686913114561325910e-4,
-     1.4875361290850614853e-2, 1.3692988092273580531e-1, 5.9983220655588793769e-1, 1.0),
-)
-
-
-def _normal_quantile(p: float) -> float:
-    """The standard normal quantile, bit for bit ``statistics.NormalDist().inv_cdf(p)``.
-
-    Wichura's AS241 rational approximations, accurate to machine precision,
-    each evaluated by Horner's rule in the order the standard library uses.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in the range 0.0 < p < 1.0, got {p}")
-    q = p - 0.5
-    if math.fabs(q) <= 0.425:
-        r = 0.180625 - q * q
-        coefficients, scale = _AS241_CENTRE, q
-    else:
-        r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-        if r <= 5.0:
-            r, coefficients = r - 1.6, _AS241_NEAR_TAIL
-        else:
-            r, coefficients = r - 5.0, _AS241_FAR_TAIL
-        scale = -1.0 if q < 0.0 else 1.0
-    num, den = (_horner(c, r) for c in coefficients)
-    return scale * num / den
-
-
-def _horner(coefficients: tuple[float, ...], r: float) -> float:
-    """``(...(c[0] * r + c[1]) * r + ...) * r + c[-1]``, the polynomial in ``r``."""
-    value = coefficients[0]
-    for c in coefficients[1:]:
-        value = value * r + c
-    return value
-
-
 def wald_ci(theta: float, se: float, level: float) -> tuple[float, float]:
     """theta +/- z * se, clipped to [0, 1]."""
+    from statistics import NormalDist  # here, so that check and paths never import statistics
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    z = _normal_quantile((1.0 + level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)  # Wichura's AS241, accurate to machine precision
     lo = max(0.0, theta - z * se)
     hi = min(1.0, theta + z * se)
     return lo, hi

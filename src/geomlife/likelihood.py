@@ -15,12 +15,10 @@ the closed-form estimator; it never uses the m_uncens / R formula.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from functools import partial
 
-from .estimator import THETA_EPS, NoRiskTimeError, SufficientStats, check_theta
-
-if TYPE_CHECKING:
-    from .model import LatentUnit, StudyDesign
+from .estimator import NoRiskTimeError, SufficientStats
+from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -55,8 +53,15 @@ def conditional_loglik(stats: SufficientStats, theta: float) -> float:
     corresponding count is positive.
     """
     check_theta(theta)
-    R = stats.risk_time
-    return _xlogy(stats.m_uncens, theta) + _xlogy(R - stats.m_uncens, 1.0 - theta)
+    events, survivals = stats.m_uncens, stats.risk_time - stats.m_uncens
+    if theta == 0.0 or theta == 1.0:
+        return _xlogy(events, theta) + _xlogy(survivals, 1.0 - theta)
+    return _loglik(events, survivals, theta)
+
+
+def _loglik(events: int, survivals: int, theta: float) -> float:
+    """The log-likelihood at a theta in (0, 1), unchecked: the objective grid_argmax searches."""
+    return events * math.log(theta) + survivals * math.log(1.0 - theta)
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -88,13 +93,7 @@ def grid_argmax(stats: SufficientStats) -> float:
     first, last = THETA_EPS, 1.0 - THETA_EPS
     step = (last - first) / (GRID_POINTS - 1)
     grid = tuple(i * step + first for i in range(GRID_POINTS - 1)) + (last,)  # np.linspace, bit for bit
-    events, survivals, log = stats.m_uncens, stats.risk_time - stats.m_uncens, math.log
-
-    # conditional_loglik without its per-point check and property read: every th
-    # searched lies in (0, 1), where _xlogy's special cases give the same floats
-    def loglik(th: float) -> float:
-        return events * log(th) + survivals * log(1.0 - th)
-
+    loglik = partial(_loglik, stats.m_uncens, stats.risk_time - stats.m_uncens)  # every th searched is in (0, 1)
     values = tuple(map(loglik, grid))
     k = max(range(GRID_POINTS), key=values.__getitem__)  # the first maximum, as np.argmax
     lo = grid[max(k - 1, 0)]

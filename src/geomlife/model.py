@@ -14,20 +14,42 @@ half of this module (designs, units, ``observe``) costs no numpy import.
 Records are ``typing.NamedTuple`` classes; a validated one checks its
 invariants in ``__new__`` and sets :data:`_make`, which ``_replace`` calls.
 Integer parameters (``s``, ``G``, ``x``, ``t``, a study's ``n``) are checked
-by :func:`check_integer`; a count must be a plain int.  The validators,
-``THETA_EPS`` and :func:`life_expectancy` live in :mod:`.estimator`, which
-the estimate path loads without this module; they are imported here too.
+by :func:`check_integer`; a count must be a plain int.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING, NamedTuple
-
-from .estimator import THETA_EPS, _make, check_integer, check_theta, life_expectancy
 
 if TYPE_CHECKING:
     import numpy as np
+
+#: Default half-width trimmed off the parameter space [eps, 1 - eps].
+THETA_EPS = 1e-6
+
+#: ``_make`` for a validated record.  namedtuple's own ``_make``, which its
+#: ``_replace`` calls, builds the tuple with ``tuple.__new__`` and so skips
+#: the checks in ``__new__``; this one calls the class.
+_make = classmethod(lambda cls, values: cls(*values))
+
+
+def check_theta(theta: float, eps: float = 0.0) -> float:
+    """Validate a closure probability, optionally against [eps, 1 - eps]."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    if eps and not eps <= theta <= 1.0 - eps:
+        raise ValueError(f"theta must lie in [{eps}, {1.0 - eps}], got {theta}")
+    return theta
+
+
+def check_integer(value: int, name: str, low: int) -> None:
+    """Validate an integer field >= ``low``: a numpy integer is one, a bool or a float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class StudyDesign(NamedTuple("StudyDesign", [("s", int), ("G", int)])):
@@ -140,6 +162,14 @@ def geom_survival(theta: float, x) -> float:
         raise ValueError("age x must be >= 0")
     out = (1.0 - theta) ** x
     return float(out) if out.ndim == 0 else out
+
+
+def life_expectancy(theta: float) -> float:
+    """Mean lifespan 1/theta of the geometric distribution on {1, 2, ...}."""
+    check_theta(theta)
+    if theta == 0.0:
+        raise ValueError("life expectancy is undefined at theta = 0")
+    return 1.0 / theta
 
 
 def sample_units(

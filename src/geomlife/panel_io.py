@@ -36,12 +36,10 @@ import csv
 import io
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .estimator import SufficientStats, _make
-
-if TYPE_CHECKING:
-    from .model import ObservedUnit
+from .estimator import SufficientStats
+from .model import ObservedUnit, _make
 
 CENSORED_OUTCOME = "cens"
 
@@ -120,9 +118,9 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
     an undecodable byte, which reaches its row as a lone surrogate once a
     strict stream reads with ``errors="surrogateescape"``, becomes a
     PanelFormatError.  A strict stream the caller has already read from
-    cannot be switched; it is read as it is, and an undecodable byte is
-    reported on the line after the last row read.  The codec decodes ahead
-    of the rows, so the byte may be on a later line, and the message says so.
+    cannot be switched; it is read as it is.  Its codec decodes ahead of
+    the rows, so an undecodable byte there is reported with no line, as
+    after the last line read.
     """
     if isinstance(stream, io.TextIOWrapper) and stream.errors == "strict":
         try:
@@ -139,9 +137,8 @@ def _data_rows(stream: io.TextIOBase, header: list[str]):
                 yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise PanelFormatError(str(exc), line=reader.line_num) from None
-    except UnicodeDecodeError as exc:  # a strict stream that could not be switched; it decodes ahead of the rows
-        message = f"{_decode_message(exc)} (on this line or a later one)"
-        raise PanelFormatError(message, line=reader.line_num + 1) from None
+    except UnicodeDecodeError as exc:  # a strict stream that could not be switched
+        raise PanelFormatError(f"{_decode_message(exc)} after line {reader.line_num}") from None
 
 
 def _decodable(row: list[str], stream: io.TextIOBase, lineno: int) -> list[str]:
@@ -246,8 +243,6 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
     Reads ``stream`` to its end or first error, and leaves a strict one in
     ``errors="surrogateescape"`` mode unless it was read before.
     """
-    from .model import ObservedUnit  # here, so that count_units and estimate never import model
-
     return [ObservedUnit(*parsed) for parsed in _unit_rows(stream, s, G)]
 
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import THETA_EPS, SufficientStats, _make, _normal_quantile, check_integer, check_theta
-from .model import StudyDesign, TruncationDist, cell_probabilities, observation_probability
+from .estimator import SufficientStats
+from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_integer, check_theta,
+                    observation_probability)
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
 #: does not grow with the tables of all K replicates.
@@ -191,7 +193,7 @@ def run_replicate(
     observed = risk > 0
     theta = np.divide(m_uncens, risk, out=np.zeros(risk.shape), where=observed)
     var = np.divide(theta * (1.0 - theta), risk, out=np.zeros(risk.shape), where=observed)
-    half = _normal_quantile((1.0 + config.level) / 2.0) * np.sqrt(var)  # z * se, as in wald_ci
+    half = NormalDist().inv_cdf((1.0 + config.level) / 2.0) * np.sqrt(var)  # z * se, as in wald_ci
     return theta, np.maximum(0.0, theta - half), np.minimum(1.0, theta + half), m_uncens == 0
 
 

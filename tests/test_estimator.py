@@ -1,8 +1,5 @@
 import math
-import random
-from collections import Counter
 from fractions import Fraction
-from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -13,7 +10,6 @@ from hypothesis import strategies as st
 from geomlife.estimator import (
     NoRiskTimeError,
     SufficientStats,
-    _normal_quantile,
     estimate,
     sufficient_stats,
     theta_hat,
@@ -183,24 +179,6 @@ class TestWaldCi:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             wald_ci(0.5, 0.1, 1.5)
-
-    def test_normal_quantile_is_the_standard_librarys(self):
-        rng = random.Random(28)
-        far = [10.0 ** -rng.uniform(11, 300) for _ in range(2000)]  # below exp(-25): AS241's far tail
-        ps = [rng.random() for _ in range(200_000)] + far + [1.0 - p for p in far] + [0.9, 0.95, 0.975, 0.995]
-        ps = [p for p in ps if 0.0 < p < 1.0]
-        regions = Counter(
-            "centre" if abs(p - 0.5) <= 0.425 else "near" if -math.log(min(p, 1.0 - p)) <= 25.0 else "far"
-            for p in ps
-        )
-        assert min(regions["centre"], regions["near"], regions["far"]) >= 2000
-        inv_cdf = NormalDist().inv_cdf
-        assert [p for p in ps if _normal_quantile(p).hex() != inv_cdf(p).hex()] == []
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
-    def test_normal_quantile_outside_the_unit_interval(self, p):
-        with pytest.raises(ValueError, match="0.0 < p < 1.0"):
-            _normal_quantile(p)
 
     @given(
         theta=st.floats(min_value=0.0, max_value=1.0),

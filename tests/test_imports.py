@@ -7,13 +7,14 @@ starts no process pool.  Each case runs a fresh interpreter with
 ``-X importtime`` and reads the modules it imported from stderr.
 
 The three standard-library subcommands also leave out the modules they do
-not run: ``estimate`` loads ``geomlife.panel_io`` and
-``geomlife.estimator``, ``check --input`` adds ``geomlife.likelihood``,
-and neither loads ``geomlife.model``; ``paths`` loads ``geomlife.model``,
-``geomlife.estimator`` and ``geomlife.paths`` but not
-``geomlife.panel_io``.  None loads ``dataclasses`` or ``statistics``;
-``json`` is loaded for JSON output only, so ``paths`` and ``estimate
---output-format csv`` skip it.  ``simulate`` does not load
+not run: ``estimate`` loads ``geomlife.panel_io``, ``geomlife.estimator``
+and ``geomlife.model``, and ``check --input`` adds
+``geomlife.likelihood``; ``paths`` loads ``geomlife.model`` and
+``geomlife.paths`` but neither ``geomlife.panel_io`` nor
+``geomlife.estimator``.  None loads
+``dataclasses``, and only ``estimate``, for its normal quantile, loads
+``statistics``; ``json`` is loaded for JSON output only, so ``paths`` and
+``estimate --output-format csv`` skip it.  ``simulate`` does not load
 ``dataclasses`` either.
 """
 
@@ -95,9 +96,10 @@ def interpreter_modules(tmp_path_factory):
     return imported_modules("-c", "pass", cwd=tmp_path_factory.mktemp("bare"))
 
 
-#: What estimate and check --input do not run, and what paths does not run.
-NOT_IN_ESTIMATE = {"dataclasses", "statistics", "geomlife.model"}
-NOT_IN_PATHS = {"dataclasses", "statistics", "geomlife.panel_io", "json"}
+#: What each standard-library subcommand does not run.
+NOT_IN_ESTIMATE = {"dataclasses"}
+NOT_IN_CHECK = {"dataclasses", "statistics"}
+NOT_IN_PATHS = {"dataclasses", "statistics", "geomlife.panel_io", "geomlife.estimator", "json"}
 
 
 @pytest.mark.parametrize(
@@ -109,8 +111,8 @@ NOT_IN_PATHS = {"dataclasses", "statistics", "geomlife.panel_io", "json"}
             for source in ESTIMATE_INPUTS.values()
             for fmt in ("json", "csv")
         ],
-        (["check", "--input", str(DATA / "table1.csv")], "geomlife.likelihood", NOT_IN_ESTIMATE),
-        (["check", "--input", "UNITS", "--format", "units"], "geomlife.likelihood", NOT_IN_ESTIMATE),
+        (["check", "--input", str(DATA / "table1.csv")], "geomlife.likelihood", NOT_IN_CHECK),
+        (["check", "--input", "UNITS", "--format", "units"], "geomlife.likelihood", NOT_IN_CHECK),
         (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], "geomlife.paths", NOT_IN_PATHS),
     ],
     ids=[*[f"estimate-{name}-{fmt}" for name in ESTIMATE_INPUTS for fmt in ("json", "csv")],
