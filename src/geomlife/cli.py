@@ -160,9 +160,9 @@ def _load_stats(args) -> SufficientStats:
 
 def cmd_estimate(args) -> int:
     from .estimator import estimate
+    from .model import check_level
 
-    if not 0.0 < args.level < 1.0:  # named before any row is read, as --s and --G are
-        raise ValueError(f"--level must be in (0, 1), got {args.level}")
+    check_level(args.level, "--level")  # named before any row is read, as --s and --G are
     stats = _load_stats(args)
     result = estimate(stats, level=args.level)
     payload = result.to_dict()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import ObservedUnit, StudyDesign, _make, check_integer, check_theta, life_expectancy
+from .model import ObservedUnit, StudyDesign, _make, check_integer, check_level, check_theta, life_expectancy
 
 
 class NoRiskTimeError(ValueError):
@@ -138,8 +138,7 @@ def wald_ci(theta: float, se: float, level: float) -> tuple[float, float]:
     """theta +/- z * se, clipped to [0, 1]."""
     from statistics import NormalDist  # here, so that check and paths never import statistics
 
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    check_level(level)
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)  # Wichura's AS241, accurate to machine precision
     lo = max(0.0, theta - z * se)
     hi = min(1.0, theta + z * se)

@@ -44,6 +44,15 @@ def check_theta(theta: float, eps: float = 0.0) -> float:
     return theta
 
 
+def check_level(level: float, name: str = "confidence level") -> float:
+    """Validate a confidence level: in (0, 1), with a finite normal quantile ``z`` at ``(1 + level) / 2``."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {level}")
+    if (1.0 + level) / 2.0 == 1.0:  # the one float below 1 that rounds there
+        raise ValueError(f"{name} {level} is too close to 1 for a finite interval")
+    return level
+
+
 def check_integer(value: int, name: str, low: int) -> None:
     """Validate an integer field >= ``low``: a numpy integer is one, a bool or a float is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

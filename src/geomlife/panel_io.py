@@ -12,10 +12,10 @@ Both formats are read by one reader: ``_data_rows`` checks the header
 (``_check_header``, which allows a leading byte-order mark), skips blank
 rows and strips the three cells of every other row (``_cells``), and each
 integer cell is parsed by ``_integer``, so an error names the same line
-and wording in either format.  The byte-level
-fast path of :func:`count_units` applies the same header, row and cell
-rules to each distinct line, and both of its paths tally one ``Counter``
-of ``(t, d, censored)``.
+and wording in either format.  The fast path of :func:`count_units`
+applies the same header, row and cell rules to each distinct line of the
+same decoded text, and both of its paths tally one ``Counter`` of
+``(t, d, censored)``.
 
 A strict text stream is switched to ``errors="surrogateescape"`` and left
 so: an undecodable byte reaches its row and is reported on its own line, in
@@ -31,7 +31,6 @@ are failure in window year 1..s, then censored.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 from collections import Counter
@@ -246,49 +245,30 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
     return [ObservedUnit(*parsed) for parsed in _unit_rows(stream, s, G)]
 
 
-#: Encodings in which a byte 0x0A, 0x0D, 0x22, 0x2C or 0x00 is always that
-#: character, so a file can be split into lines before it is decoded.
-_LINE_SPLITTABLE_ENCODINGS = frozenset({"utf-8", "ascii"})
-
-
-def _plain_fields(line: bytes, encoding: str) -> list[str] | None:
-    """The row ``csv.reader`` gives for one raw line, or None if only csv can tell.
-
-    Quotes, NULs, carriage returns other than a trailing CRLF, overlong
-    lines and undecodable bytes all return None.
-    """
-    if line.endswith(b"\r\n"):
-        line = line[:-2]
-    elif line.endswith(b"\n"):
-        line = line[:-1]
-    if b'"' in line or b"\r" in line or b"\0" in line or len(line) > csv.field_size_limit():
-        return None
-    try:
-        text = line.decode(encoding)
-    except UnicodeDecodeError:
-        return None
-    return text.split(",") if text else []
-
-
-def _count_distinct_lines(raw: io.BufferedIOBase, encoding: str, s: int, G: int) -> Counter | None:
+def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
     """Count a unit file's ``(t, d, censored)`` by validating each distinct line once.
 
-    Returns None when the header or any distinct line is not a plain,
-    valid row; the caller then reads the file row by row, which reports
-    the first error with its line number.
+    Returns None when the header or any distinct line is not a valid row,
+    or is longer than ``csv.field_size_limit()``; the caller then reads the
+    file row by row, which reports the first error with its line number.
     """
+    # Splitting at commas gives the cells csv.reader gives: with newline=""
+    # a line has no CR or LF before its end, and a valid cell stripped of
+    # padding is ASCII digits, "-" or empty, so a line that splits into a
+    # valid row holds no quote, no NUL and no escaped undecodable byte.
     units = Counter()
     try:
-        _check_header(_plain_fields(raw.readline(), encoding), UNITS_HEADER)
-        for line, n in Counter(raw).items():
-            row = _plain_fields(line, encoding)
-            if row is None:
-                return None
-            cells = _cells(row, None)
+        header = fh.readline()
+        _check_header(header.rstrip("\r\n").split(","), UNITS_HEADER)
+        lines = Counter(fh)
+        for line, n in lines.items():
+            cells = _cells(line.rstrip("\r\n").split(","), None)
             if cells is not None:
                 units[_unit_row(cells, s, G, None)] += n
     except PanelFormatError:
         return None
+    if max(map(len, [header, *lines])) > csv.field_size_limit():
+        return None  # csv.reader refuses a cell that long
     return units
 
 
@@ -296,15 +276,16 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     """Read a ``t,d,censored`` file straight into an aggregate table.
 
     Equal to tabulating :func:`parse_units`, with the same errors, but a
-    valid file costs one pass over its bytes and memory in the number of
-    distinct lines, not rows.  Files that need the csv rules (quoted
-    cells, stray carriage returns, ...) or hold an invalid row take the
-    per-row path, which counts the rows as they are read.
+    valid file costs one pass over its text and memory in the number of
+    distinct lines, not rows.  A pipe, or a file with a distinct line that
+    does not split into a valid row (a quoted cell, an undecodable byte,
+    an invalid row, ...), takes the per-row path, which counts the rows as
+    they are read.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         units = None
-        if fh.seekable() and codecs.lookup(fh.encoding).name in _LINE_SPLITTABLE_ENCODINGS:
-            units = _count_distinct_lines(fh.buffer, fh.encoding, s, G)
+        if fh.seekable():
+            units = _count_distinct_lines(fh, s, G)
             if units is None:
                 fh.seek(0)
         if units is None:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import SufficientStats
-from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_integer, check_theta,
-                    observation_probability)
+from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_integer, check_level,
+                    check_theta, observation_probability)
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
 #: does not grow with the tables of all K replicates.
@@ -51,8 +51,7 @@ class SimConfig(
         check_integer(n_replicates, "n_replicates", 1)
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"confidence level must be in (0, 1), got {level}")
+        check_level(level)
         if tdist.G != design.G:  # cell_probabilities' check, made before any study draws
             raise ValueError(f"truncation pmf has {tdist.G} entries but design has G={design.G}")
         return super().__new__(cls, theta0, design, tdist, n, n_replicates, seed, level)

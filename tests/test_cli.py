@@ -236,8 +236,10 @@ class TestSimulate:
         [
             (["--level", "1.5"], "confidence level must be in (0, 1), got 1.5"),
             (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            (["--level", "0.9999999999999999"],  # (1 + level) / 2 rounds to 1
+             "confidence level 0.9999999999999999 is too close to 1 for a finite interval"),
         ],
-        ids=["level", "seed"],
+        ids=["level", "seed", "level-next-to-1"],
     )
     def test_bad_level_or_seed(self, capsys, flags, message):
         code, out, err = run(
@@ -422,6 +424,7 @@ class TestDesignFlags:
             ("aggregate", "cohort,outcome,count\n", "1.5"),  # no rows: no risk time
             ("units", "t,d,censored\n0,9,0\n", "0"),  # an invalid row
             ("units", "t,d,censored\n0,1,0\n", "nan"),
+            ("units", "t,d,censored\n0,1,0\n", "0.9999999999999999"),  # (1 + level) / 2 rounds to 1
         ],
     )
     def test_level(self, capsys, tmp_path, fmt, text, level):
@@ -430,7 +433,11 @@ class TestDesignFlags:
         code, out, err = run(
             capsys, "estimate", "--format", fmt, "--input", str(path), "--s", "2", "--G", "5", "--level", level
         )
-        assert (code, out, err) == (1, "", f"error: --level must be in (0, 1), got {float(level)}\n")
+        if 0 < float(level) < 1:
+            message = f"--level {level} is too close to 1 for a finite interval"
+        else:
+            message = f"--level must be in (0, 1), got {float(level)}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestUsageErrors:

@@ -180,6 +180,12 @@ class TestWaldCi:
         with pytest.raises(ValueError):
             wald_ci(0.5, 0.1, 1.5)
 
+    def test_level_next_to_one(self):
+        with pytest.raises(ValueError, match="^confidence level 0.9999999999999999 is too close to 1"):
+            wald_ci(0.5, 0.1, 1.0 - 2.0**-53)  # (1 + level) / 2 rounds to 1
+        lo, hi = wald_ci(0.5, 0.01, 1.0 - 2.0**-52)  # the largest level whose z is finite
+        assert 0.0 < lo < 0.5 < hi < 1.0
+
     @given(
         theta=st.floats(min_value=0.0, max_value=1.0),
         se=st.floats(min_value=0.0, max_value=0.5),

@@ -1,4 +1,6 @@
 import io
+import os
+import threading
 from collections import Counter
 
 import numpy as np
@@ -201,6 +203,8 @@ class TestCountUnits:
         path.write_bytes(b"t , d, censored\r\n0,1,0\r\n\n 4 ,,1\n3,2,1\n  \n4,,1\n1,2,0")
         table = count_units(path, 2, 5)
         assert table.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 0))
+        path.write_bytes(b"t,d,censored\r0,1,0\r4,,1\r\n3,2,0\n")  # lone-CR line ends
+        assert count_units(path, 2, 5).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
 
     def test_per_row_path_counts_without_unit_objects(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -210,6 +214,27 @@ class TestCountUnits:
         path = tmp_path / "units.csv"
         path.write_bytes(b't,d,censored\n"0",1,0\n1,,1\n0,1,0\n')  # the quoted cell needs the csv rules
         assert count_units(path, 2, 5).rows == ((2, 0, 0), (0, 0, 1), *[(0, 0, 0)] * 4)
+
+    def test_pipe_is_read_row_by_row(self, tmp_path):
+        fifo = tmp_path / "units.fifo"
+        os.mkfifo(fifo)
+
+        def count_from_pipe(data):
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+            writer.start()
+            try:
+                return _counted(fifo)
+            finally:
+                writer.join(timeout=10)
+
+        valid = b"t,d,censored\n0,1,0\r\n4,,1\r3,2,0\n\n0,1,0"
+        path = tmp_path / "units.csv"
+        path.write_bytes(valid)
+        assert count_from_pipe(valid) == count_units(path, 2, 5)
+        bad_row = b"t,d,censored\n0,1,0\n4,,1\n3,9,0\n"
+        assert count_from_pipe(bad_row) == (PanelFormatError, "line 4: uncensored d 9 outside 1..2")
+        kind, message = count_from_pipe(b"t,d,censored\r0,1,0\r\xe9,1,0\r")  # 0xe9 does not decode in UTF-8
+        assert kind is PanelFormatError and message.startswith("line 3: ")
 
     @pytest.mark.parametrize("cell", ["+1", "0_1", "\u0661"], ids=["plus", "underscore", "arabic-indic"])  # int() reads 1
     @pytest.mark.parametrize("row,name", [("{},1,0", "t"), ("0,{},0", "d")], ids=["t", "d"])

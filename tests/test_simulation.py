@@ -485,7 +485,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="theta"):
             config(theta0=theta0)
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, 1.0 - 2.0**-53])  # the last: (1 + level) / 2 rounds to 1
     def test_level_outside_unit_interval_rejected_at_construction(self, level):
         with pytest.raises(ValueError, match="level"):
             config(level=level)
