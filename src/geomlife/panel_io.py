@@ -13,9 +13,10 @@ Both formats are read by one reader: ``_data_rows`` checks the header
 rows and strips the three cells of every other row (``_cells``), and each
 integer cell is parsed by ``_integer``, so an error names the same line
 and wording in either format.  The fast path of :func:`count_units`
-applies the same header, row and cell rules to each distinct line of the
-same decoded text, and both of its paths tally one ``Counter`` of
-``(t, d, censored)``.
+splits the same decoded text into lines ``_BLOCK`` characters at a time,
+at ``\\n``, ``\\r\\n`` and ``\\r`` as ``csv.reader`` does, and applies the
+same header, row and cell rules to each distinct line; both of its paths
+tally one ``Counter`` of ``(t, d, censored)``.
 
 A strict text stream is switched to ``errors="surrogateescape"`` and left
 so: an undecodable byte reaches its row and is reported on its own line, in
@@ -44,6 +45,13 @@ CENSORED_OUTCOME = "cens"
 
 AGGREGATE_HEADER = ["cohort", "outcome", "count"]
 UNITS_HEADER = ["t", "d", "censored"]
+
+#: Characters of decoded text that the distinct-line count of
+#: :func:`count_units` splits into lines at a time.
+_BLOCK = 1 << 16
+
+#: Line breaks of ``str.splitlines`` that ``csv.reader`` reads as cell text.
+_SPLITLINES_ONLY_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class PanelFormatError(ValueError):
@@ -248,27 +256,51 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
 def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
     """Count a unit file's ``(t, d, censored)`` by validating each distinct line once.
 
-    Returns None when the header or any distinct line is not a valid row,
-    or is longer than ``csv.field_size_limit()``; the caller then reads the
-    file row by row, which reports the first error with its line number.
+    After the header, reads ``_BLOCK`` characters at a time and splits
+    the unfinished line of the last block plus the new block into lines:
+    at ``\\n`` when the text holds no ``\\r``, else with ``str.splitlines``,
+    which also ends a line at ``\\r`` and ``\\r\\n``.  A ``\\r\\n`` split
+    between two blocks leaves a blank line, which counts for nothing.
+
+    Returns None, and the caller reads the file row by row, which reports
+    the first error with its line number, when text split with
+    ``splitlines`` holds a break that ``csv.reader`` does not know
+    (``_SPLITLINES_ONLY_BREAKS``); when the header, a distinct line or an
+    unfinished line reaches ``csv.field_size_limit()``, which also stops
+    the reading of a file without line ends; or when the header or a
+    distinct line is not a valid row.
     """
-    # Splitting at commas gives the cells csv.reader gives: with newline=""
-    # a line has no CR or LF before its end, and a valid cell stripped of
-    # padding is ASCII digits, "-" or empty, so a line that splits into a
-    # valid row holds no quote, no NUL and no escaped undecodable byte.
+    # Splitting at commas gives the cells csv.reader gives: a line has no
+    # CR or LF, and a valid cell stripped of padding is ASCII digits, "-"
+    # or empty, so a line that splits into a valid row holds no quote, no
+    # NUL and no escaped undecodable byte.
+    limit = csv.field_size_limit()  # a line this long may hold a cell csv.reader refuses
+    header = fh.readline(limit)
+    lines = Counter()
+    tail = ""  # the unfinished line at the end of the text read so far
     units = Counter()
     try:
-        header = fh.readline()
         _check_header(header.rstrip("\r\n").split(","), UNITS_HEADER)
-        lines = Counter(fh)
+        while len(tail) < limit and (block := fh.read(_BLOCK)):
+            text = tail + block
+            if "\r" not in text:
+                pieces = text.split("\n")
+                tail = pieces.pop()
+            elif any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
+                return None
+            else:
+                pieces = text.splitlines()
+                tail = "" if text.endswith(("\r", "\n")) else pieces.pop()
+            lines.update(pieces)
+        lines[tail] += 1
+        if max(map(len, [header, *lines])) >= limit:
+            return None
         for line, n in lines.items():
-            cells = _cells(line.rstrip("\r\n").split(","), None)
+            cells = _cells(line.split(","), None)
             if cells is not None:
                 units[_unit_row(cells, s, G, None)] += n
     except PanelFormatError:
         return None
-    if max(map(len, [header, *lines])) > csv.field_size_limit():
-        return None  # csv.reader refuses a cell that long
     return units
 
 
@@ -276,11 +308,13 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     """Read a ``t,d,censored`` file straight into an aggregate table.
 
     Equal to tabulating :func:`parse_units`, with the same errors, but a
-    valid file costs one pass over its text and memory in the number of
-    distinct lines, not rows.  A pipe, or a file with a distinct line that
-    does not split into a valid row (a quoted cell, an undecodable byte,
-    an invalid row, ...), takes the per-row path, which counts the rows as
-    they are read.
+    valid file costs one pass over its text, split into lines a block at
+    a time, and memory in the number of distinct lines, not rows.  A pipe
+    takes the per-row path, which counts the rows as they are read; so
+    does a file with a distinct line that does not split into a valid row
+    (a quoted cell, an undecodable byte, an invalid row, ...), with a line
+    as long as ``csv.field_size_limit()``, or with a block that holds a
+    ``\\r`` and a break of ``_SPLITLINES_ONLY_BREAKS``.
     """
     with open(path, newline="", errors="surrogateescape") as fh:
         units = None

@@ -1,7 +1,9 @@
+import csv
 import io
 import os
 import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,10 +151,22 @@ def _counted(path, s=2, G=5):
 _VALID_ROWS = st.sampled_from(
     ["0,1,0", "3,2,0", "4,,1", "1,2,1", "2, ,1", " 0 , 1 , 0 ", "\t2,1 ,0", "", "   ", ",,"]
 )
+# Line breaks of str.splitlines that csv.reader reads as cell text, where they are padding
+_BREAK_CHARS = st.sampled_from(list(panel_io._SPLITLINES_ONLY_BREAKS))
+
+
+@st.composite
+def _padded_rows(draw):
+    row = draw(_VALID_ROWS)
+    at = draw(st.integers(0, len(row)))
+    return row[:at] + draw(_BREAK_CHARS) + row[at:]
+
+
 _CELLS = st.sampled_from(["0", "1", "2", "4", "5", "-1", "", " 1", "2 ", " ", "01", "x", "1.0", "\t3"])
 _ODD_ROWS = st.one_of(
     st.tuples(_CELLS, _CELLS, _CELLS).map(",".join),
     st.sampled_from(["0,1", "0,1,0,0", '"0",1,0', '0,"2",0', '"1\n",1,0', "0,1\r,0", "\r", "4,\x00,1"]),
+    st.tuples(_VALID_ROWS, _BREAK_CHARS, _VALID_ROWS).map("".join),  # one row of 5 fields, not two rows
     st.binary(max_size=6).map(lambda b: b.decode("latin-1")),
 )
 
@@ -161,13 +175,17 @@ _ODD_ROWS = st.one_of(
 def _unit_files(draw):
     """A t,d,censored file: plain valid rows, or valid rows mixed with every oddity."""
     header = draw(st.sampled_from(["t,d,censored"] * 4 + [" t , d ,censored", "t,d", '"t",d,censored', ""]))
-    rows = st.one_of(_VALID_ROWS, _ODD_ROWS) if draw(st.booleans()) else _VALID_ROWS
+    padded, odd = st.one_of(_VALID_ROWS, _padded_rows()), st.one_of(_VALID_ROWS, _ODD_ROWS)
+    rows = draw(st.sampled_from([_VALID_ROWS, padded, odd]))
     lines = [header] + draw(st.lists(rows, max_size=12))
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):  # one line end throughout, else a mix
+        ends = st.just(draw(ends))
+    text = "".join(line + draw(ends) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    # latin-1 bytes above 0x7f are not valid UTF-8
-    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+    # latin-1 bytes above 0x7f are not valid UTF-8; "?" stands for a character latin-1 lacks
+    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])), errors="replace")
 
 
 class TestCountUnits:
@@ -177,6 +195,16 @@ class TestCountUnits:
         path = tmp_path_factory.mktemp("units") / "units.csv"
         path.write_bytes(data)
         assert _counted(path) == _per_row(path)
+
+    # Blocks of a few characters end inside the header, inside a cell and between \r and \n
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @settings(max_examples=200)
+    @given(data=_unit_files())
+    def test_agrees_with_per_row_parse_in_small_blocks(self, tmp_path_factory, block, data):
+        path = tmp_path_factory.mktemp("units") / "units.csv"
+        path.write_bytes(data)
+        with mock.patch.object(panel_io, "_BLOCK", block):
+            assert _counted(path) == _per_row(path)
 
     def test_bad_row_after_valid_lines_reports_first_error(self, tmp_path):
         path = tmp_path / "units.csv"
@@ -205,6 +233,54 @@ class TestCountUnits:
         assert table.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 0))
         path.write_bytes(b"t,d,censored\r0,1,0\r4,,1\r\n3,2,0\n")  # lone-CR line ends
         assert count_units(path, 2, 5).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_end_at_block_edge(self, tmp_path, monkeypatch, end):
+        # The first row's line end starts on the last character of the first block after the
+        # header: a CRLF is split between two blocks, a CR ends the block.
+        first = "0,1," + "0".rjust(panel_io._BLOCK - 5)
+        rows = [first] + [f"{i % 5},{i % 2 + 1},0" if i % 3 else f"{i % 5},,1" for i in range(50_000)]
+        path = tmp_path / "units.csv"
+        path.write_text(end.join(["t,d,censored", *rows, ""]), newline="")
+        expected = _per_row(path)
+        assert expected.m == 50_001
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid file was read row by row")
+
+        monkeypatch.setattr(panel_io, "_unit_rows", refuse)
+        assert count_units(path, 2, 5) == expected
+
+    def test_line_over_field_limit_is_read_no_further(self, tmp_path):
+        limit = csv.field_size_limit()
+        text = "t,d,censored\n" + "9" * (20 * limit)  # a second line with no line end
+        fh = io.StringIO(text)
+        assert panel_io._count_distinct_lines(fh, 2, 5) is None
+        assert fh.tell() <= len("t,d,censored\n") + limit + panel_io._BLOCK
+        path = tmp_path / "units.csv"
+        path.write_text(text)
+        with pytest.raises(PanelFormatError) as err:
+            count_units(path, 2, 5)
+        assert str(err.value) == "line 2: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize(
+        "limit,text,line",
+        [
+            (2**17, "t,d,censored\n0,1,0" + " " * 2**17 + "\n", 2),  # a valid row once stripped
+            (2**17, "t,d," + " " * 2**17 + "censored\n0,1,0\n", 1),
+            (16, "t,d,censored\n0,1,0\n1,,1" + " " * 16 + "\n4,2,1\n", 3),  # within one block
+        ],
+        ids=["row", "header", "short-limit"],
+    )
+    def test_padded_cell_over_field_limit(self, tmp_path, limit, text, line):
+        path = tmp_path / "units.csv"
+        path.write_text(text)
+        default = csv.field_size_limit(limit)
+        try:
+            message = f"line {line}: field larger than field limit ({limit})"
+            assert _counted(path) == _per_row(path) == (PanelFormatError, message)
+        finally:
+            csv.field_size_limit(default)
 
     def test_per_row_path_counts_without_unit_objects(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
