@@ -13,10 +13,10 @@ Both formats are read by one reader: ``_data_rows`` checks the header
 rows and strips the three cells of every other row (``_cells``), and each
 integer cell is parsed by ``_integer``, so an error names the same line
 and wording in either format.  The fast path of :func:`count_units`
-splits the same decoded text into lines ``_BLOCK`` characters at a time,
-at ``\\n``, ``\\r\\n`` and ``\\r`` as ``csv.reader`` does, and applies the
-same header, row and cell rules to each distinct line; both of its paths
-tally one ``Counter`` of ``(t, d, censored)``.
+reads the file with universal newlines, which end a line where
+``csv.reader`` does, splits each ``_BLOCK`` characters of its text at
+``\\n`` and applies the same header, row and cell rules to each distinct
+line; both of its paths tally one ``Counter`` of ``(t, d, censored)``.
 
 A strict text stream is switched to ``errors="surrogateescape"`` and left
 so: an undecodable byte reaches its row and is reported on its own line, in
@@ -49,9 +49,6 @@ UNITS_HEADER = ["t", "d", "censored"]
 #: Characters of decoded text that the distinct-line count of
 #: :func:`count_units` splits into lines at a time.
 _BLOCK = 1 << 16
-
-#: Line breaks of ``str.splitlines`` that ``csv.reader`` reads as cell text.
-_SPLITLINES_ONLY_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class PanelFormatError(ValueError):
@@ -256,19 +253,15 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
 def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
     """Count a unit file's ``(t, d, censored)`` by validating each distinct line once.
 
-    After the header, reads ``_BLOCK`` characters at a time and splits
-    the unfinished line of the last block plus the new block into lines:
-    at ``\\n`` when the text holds no ``\\r``, else with ``str.splitlines``,
-    which also ends a line at ``\\r`` and ``\\r\\n``.  A ``\\r\\n`` split
-    between two blocks leaves a blank line, which counts for nothing.
+    ``fh`` reads with universal newlines, so every line ends in ``\\n``.
+    After the header, reads ``_BLOCK`` characters at a time and splits the
+    unfinished line of the last block plus the new block at ``\\n``.
 
     Returns None, and the caller reads the file row by row, which reports
-    the first error with its line number, when text split with
-    ``splitlines`` holds a break that ``csv.reader`` does not know
-    (``_SPLITLINES_ONLY_BREAKS``); when the header, a distinct line or an
-    unfinished line reaches ``csv.field_size_limit()``, which also stops
-    the reading of a file without line ends; or when the header or a
-    distinct line is not a valid row.
+    the first error with its line number, when the header, a distinct
+    line or an unfinished line reaches ``csv.field_size_limit()``, which
+    also stops the reading of a file without line ends; or when the header
+    or a distinct line is not a valid row.
     """
     # Splitting at commas gives the cells csv.reader gives: a line has no
     # CR or LF, and a valid cell stripped of padding is ASCII digits, "-"
@@ -280,17 +273,10 @@ def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
     tail = ""  # the unfinished line at the end of the text read so far
     units = Counter()
     try:
-        _check_header(header.rstrip("\r\n").split(","), UNITS_HEADER)
+        _check_header(header.rstrip("\n").split(","), UNITS_HEADER)
         while len(tail) < limit and (block := fh.read(_BLOCK)):
-            text = tail + block
-            if "\r" not in text:
-                pieces = text.split("\n")
-                tail = pieces.pop()
-            elif any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
-                return None
-            else:
-                pieces = text.splitlines()
-                tail = "" if text.endswith(("\r", "\n")) else pieces.pop()
+            pieces = (tail + block).split("\n")
+            tail = pieces.pop()
             lines.update(pieces)
         lines[tail] += 1
         if max(map(len, [header, *lines])) >= limit:
@@ -312,17 +298,19 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     a time, and memory in the number of distinct lines, not rows.  A pipe
     takes the per-row path, which counts the rows as they are read; so
     does a file with a distinct line that does not split into a valid row
-    (a quoted cell, an undecodable byte, an invalid row, ...), with a line
-    as long as ``csv.field_size_limit()``, or with a block that holds a
-    ``\\r`` and a break of ``_SPLITLINES_ONLY_BREAKS``.
+    (a quoted cell, an undecodable byte, an invalid row, ...) or with a
+    line as long as ``csv.field_size_limit()``.  The per-row path reads the
+    same stream with ``newline=""``, as ``csv.reader`` needs, so a quoted
+    cell keeps its ``\\r``.
     """
-    with open(path, newline="", errors="surrogateescape") as fh:
+    with open(path, errors="surrogateescape") as fh:
         units = None
         if fh.seekable():
             units = _count_distinct_lines(fh, s, G)
             if units is None:
                 fh.seek(0)
         if units is None:
+            fh.reconfigure(newline="")  # allowed before the first read and after a seek
             units = Counter(_unit_rows(fh, s, G))
     rows = [[0] * (s + 1) for _ in range(G + 1)]
     for (t, d, censored), n in units.items():

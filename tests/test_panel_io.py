@@ -152,7 +152,7 @@ _VALID_ROWS = st.sampled_from(
     ["0,1,0", "3,2,0", "4,,1", "1,2,1", "2, ,1", " 0 , 1 , 0 ", "\t2,1 ,0", "", "   ", ",,"]
 )
 # Line breaks of str.splitlines that csv.reader reads as cell text, where they are padding
-_BREAK_CHARS = st.sampled_from(list(panel_io._SPLITLINES_ONLY_BREAKS))
+_BREAK_CHARS = st.sampled_from(list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
 
 
 @st.composite
@@ -233,6 +233,8 @@ class TestCountUnits:
         assert table.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 0))
         path.write_bytes(b"t,d,censored\r0,1,0\r4,,1\r\n3,2,0\n")  # lone-CR line ends
         assert count_units(path, 2, 5).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+        path.write_text("t,d,censored\r0,1\f,0\r\x854,,1\r3,2,0\x85\r\f\r", newline="")
+        assert count_units(path, 2, 5).rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     def test_line_end_at_block_edge(self, tmp_path, monkeypatch, end):
@@ -309,6 +311,10 @@ class TestCountUnits:
         assert count_from_pipe(valid) == count_units(path, 2, 5)
         bad_row = b"t,d,censored\n0,1,0\n4,,1\n3,9,0\n"
         assert count_from_pipe(bad_row) == (PanelFormatError, "line 4: uncensored d 9 outside 1..2")
+        quoted_cr = b't,d,censored\n0,1,0\n"1\r2",1,0\n'  # csv.reader keeps the \r of a quoted cell
+        path.write_bytes(quoted_cr)
+        expected = (PanelFormatError, "line 4: t '1\\r2' is not an integer")
+        assert _counted(path) == count_from_pipe(quoted_cr) == expected
         kind, message = count_from_pipe(b"t,d,censored\r0,1,0\r\xe9,1,0\r")  # 0xe9 does not decode in UTF-8
         assert kind is PanelFormatError and message.startswith("line 3: ")
 
