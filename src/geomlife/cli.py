@@ -38,6 +38,7 @@ EXIT_DEGENERATE = 2
 
 
 def _fmt12(value) -> str:
+    """A value as machine output writes it: a float to 12 significant digits; None and non-finite are empty."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -47,50 +48,37 @@ def _fmt12(value) -> str:
     return str(value)
 
 
-def _round12(value):
-    """Round a float to 12 significant digits for JSON output."""
-    if value is None or isinstance(value, (int, bool)):
-        return value
-    if not math.isfinite(value):
-        return None
-    return float(format(value, ".12g"))
-
-
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, bool):  # a bool is an Integral too; keep true/false
         return obj
     if isinstance(obj, numbers.Integral):  # int and numpy integers
         return int(obj)
-    if isinstance(obj, numbers.Real):  # float and numpy floats
-        return _round12(float(obj))
+    if isinstance(obj, numbers.Real):  # float and numpy floats, rounded as in CSV; non-finite is null
+        return float(text) if (text := _fmt12(float(obj))) else None
     return obj
 
 
-def _write_text(text: str, output: str | None) -> None:
-    if output is None:
+def _dump(rows: list[dict], columns: list[str], args, payload=None) -> None:
+    """Write ``payload`` (default ``rows``) as JSON, or ``rows`` under ``columns`` as CSV."""
+    if args.output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt12(row.get(col)) for col in columns] for row in rows)
+        text = buf.getvalue()
+    else:
+        import json
+
+        text = json.dumps(_json_ready(rows if payload is None else payload), sort_keys=True, indent=2) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", newline="") as fh:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
-
-
-def _dump_json(obj, output: str | None) -> None:
-    import json
-
-    _write_text(json.dumps(_json_ready(obj), sort_keys=True, indent=2) + "\n", output)
-
-
-def _dump_csv(rows: list[dict], columns: list[str], output: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt12(row.get(col)) for col in columns])
-    _write_text(buf.getvalue(), output)
 
 
 def _parse_tdist(value: str, G: int) -> TruncationDist:
@@ -166,16 +154,13 @@ def cmd_estimate(args) -> int:
     stats = _load_stats(args)
     result = estimate(stats, level=args.level)
     payload = result.to_dict()
-    if args.output_format == "csv":
-        row = {}  # the JSON fields in order, each interval split into _lo, _hi
-        for key, value in payload.items():
-            if isinstance(value, list):
-                row[f"{key}_lo"], row[f"{key}_hi"] = value
-            else:
-                row[key] = value
-        _dump_csv([row], list(row), args.output)
-    else:
-        _dump_json(payload, args.output)
+    row = {}  # the CSV row: the JSON fields in order, each interval split into _lo, _hi
+    for key, value in payload.items():
+        if isinstance(value, list):
+            row[f"{key}_lo"], row[f"{key}_hi"] = value
+        else:
+            row[key] = value
+    _dump([row], list(row), args, payload)
     sys.stderr.write(_summarize_estimate(result))
     return EXIT_DEGENERATE if result.degenerate else EXIT_OK
 
@@ -206,10 +191,7 @@ def cmd_simulate(args) -> int:
             f"ks={report.ks_distance:.4f} degenerate={report.degenerate_count}\n"
         )
 
-    if args.output_format == "csv":
-        _dump_csv(rows, list(rows[0]), args.output)
-    else:
-        _dump_json(rows, args.output)
+    _dump(rows, list(rows[0]), args)
     return EXIT_OK
 
 
@@ -269,10 +251,7 @@ def cmd_check(args) -> int:
         worst = max(worst, diff)
         rows.append({"case": idx, "theta_hat": closed, "argmax_theta": argmax, "abs_diff": diff})
 
-    if args.output_format == "csv":
-        _dump_csv(rows, ["case", "theta_hat", "argmax_theta", "abs_diff"], args.output)
-    else:
-        _dump_json(rows, args.output)
+    _dump(rows, ["case", "theta_hat", "argmax_theta", "abs_diff"], args)
     sys.stderr.write(f"checked {len(rows)} case(s), max |closed-form - argmax| = {worst:.3g}\n")
     if degenerate:
         return EXIT_DEGENERATE
@@ -296,7 +275,7 @@ def cmd_paths(args) -> int:
     b = build_paths(LatentUnit(x=args.x, t=args.t), design, args.theta)
     columns = (b.ages, b.dn, b.y_prev, b.dn_tc, b.y_tc_prev, b.da_tc, b.dm_tc)  # in PATH_COLUMNS order
     rows = [dict(zip(PATH_COLUMNS, values)) for values in zip(*columns)]
-    _dump_csv(rows, list(PATH_COLUMNS), args.output)
+    _dump(rows, list(PATH_COLUMNS), args)
     return EXIT_OK
 
 
@@ -359,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pth.add_argument("--x", type=int, default=None, help="lifespan in years")
     p_pth.add_argument("--t", type=int, default=None, help="truncation age")
     p_pth.add_argument("--theta", type=float, default=None)
-    p_pth.set_defaults(func=cmd_paths)
+    p_pth.set_defaults(func=cmd_paths, output_format="csv")
 
     return parser
 

@@ -111,13 +111,14 @@ class TruncationDist(NamedTuple("TruncationDist", [("pmf", tuple[float, ...])]))
 
     @classmethod
     def uniform(cls, G: int) -> "TruncationDist":
-        if G < 1:
-            raise ValueError("G must be >= 1")
+        check_integer(G, "cohort count G", 1)
         return cls([1.0 / G] * G)
 
     @classmethod
     def point_mass(cls, t: int, G: int) -> "TruncationDist":
-        if not 0 <= t <= G - 1:
+        check_integer(t, "truncation age t", 0)
+        check_integer(G, "cohort count G", 1)
+        if t > G - 1:
             raise ValueError(f"point mass at {t} outside support 0..{G - 1}")
         pmf = [0.0] * G
         pmf[t] = 1.0

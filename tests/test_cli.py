@@ -15,6 +15,8 @@ DESIGN_FLAGS = ["--s", "2", "--G", "5"]
 SIMULATE = ["simulate", "--theta0", "0.1", *DESIGN_FLAGS, "--K", "2", "--seed", "1"]
 MSE_STUDY = ["simulate", "--theta0", "0.1", *DESIGN_FLAGS, "--n", "50,1000", "--K", "50",
              "--seed", "33"]
+DEGENERATE_STUDY = ["simulate", "--theta0", "0.000001", "--s", "1", "--G", "1", "--K", "3", "--n", "1",
+                    "--seed", "1"]
 
 
 @pytest.fixture
@@ -543,6 +545,10 @@ class TestGoldenOutput:
             ("paths_s3", ["paths", "--x", "5", "--t", "1", "--theta", "0.7", "--s", "3", "--G", "4"]),
             ("simulate_mse", MSE_STUDY),
             ("simulate_mse_csv", [*MSE_STUDY, "--output-format", "csv"]),
+            ("estimate_table3", ["estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS]),
+            # every replicate is degenerate: coverage and ks_distance are null in JSON, empty in CSV
+            ("simulate_degenerate", DEGENERATE_STUDY),
+            ("simulate_degenerate_csv", [*DEGENERATE_STUDY, "--output-format", "csv"]),
         ],
     )
     def test_stdout_matches_the_recording(self, capsys, name, argv):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             TruncationDist(np.array([-0.1, 1.1]))
         assert TruncationDist.uniform(5).G == 5
+
+    @pytest.mark.parametrize(
+        "constructor,args,message",
+        [
+            ("uniform", (True,), "cohort count G must be an integer, got True"),
+            ("uniform", (2.5,), "cohort count G must be an integer, got 2.5"),
+            ("uniform", (0,), "cohort count G must be >= 1, got 0"),
+            ("point_mass", (True, 3), "truncation age t must be an integer, got True"),
+            ("point_mass", (1.0, 3), "truncation age t must be an integer, got 1.0"),
+            ("point_mass", (-1, 3), "truncation age t must be >= 0, got -1"),
+            ("point_mass", (0, 2.0), "cohort count G must be an integer, got 2.0"),
+            ("point_mass", (3, 3), "point mass at 3 outside support 0..2"),
+        ],
+    )
+    def test_truncation_dist_constructors_check_integers(self, constructor, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(TruncationDist, constructor)(*args)
+
+    def test_truncation_dist_constructors_take_numpy_integers(self):
+        assert TruncationDist.uniform(np.int64(3)) == TruncationDist.uniform(3)
+        assert TruncationDist.point_mass(np.int64(1), np.int64(3)).pmf == (0.0, 1.0, 0.0)
 
     def test_truncation_dist_message_names_the_sum(self):
         with pytest.raises(ValueError, match=r"must sum to 1, got 1\.35$"):
