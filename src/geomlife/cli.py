@@ -16,6 +16,14 @@ and ``model``; ``check`` adds ``likelihood``; ``paths`` loads ``model``
 and ``paths``; ``simulate`` loads ``model``, ``estimator`` and
 ``simulation``.  numpy is imported only by ``simulate`` and ``check
 --random``, ``json`` only for JSON output or a ``--config`` file.
+
+The ``geomlife`` command and ``python -m geomlife.cli`` enter through
+``run()``: it calls ``main()``, flushes stdout and stderr, and ends the
+process with ``os._exit``, skipping interpreter teardown.  ``atexit``
+handlers therefore do not run in the CLI process, and an output that
+cannot be flushed (a full disk) is an input error, exit 1.  Code that
+embeds the CLI calls ``main(argv)``, which returns the exit code and
+never ends the process.
 """
 
 from __future__ import annotations
@@ -25,10 +33,13 @@ import csv
 import io
 import math
 import numbers
+import os
 import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from typing import NoReturn
+
     from .estimator import SufficientStats
     from .model import TruncationDist
 
@@ -414,5 +425,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> NoReturn:
+    """The process entry: ``main()``, then flush stdout and stderr and ``os._exit`` (see the module docstring).
+
+    A failed flush is an input error, as a failed write in ``main`` is.  A
+    stream whose descriptor was closed at start-up is ``None`` and skipped.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.flush()
+        code = EXIT_INPUT_ERROR
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,15 +1,21 @@
 import csv
+import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geomlife
 from geomlife.cli import _json_ready, main
 
 from helpers import table1_csv, table3_csv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = Path(geomlife.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DESIGN_FLAGS = ["--s", "2", "--G", "5"]
 SIMULATE = ["simulate", "--theta0", "0.1", *DESIGN_FLAGS, "--K", "2", "--seed", "1"]
@@ -672,3 +678,81 @@ class TestJsonReady:
         assert json.dumps(payload, sort_keys=True) == (
             '{"degenerate": true, "flags": [false], "m": 3, "x": 0.1}'
         )
+
+
+def child(*args, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
+    """``python *args`` with the package on its path; stdout is block-buffered unless ``unbuffered``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=120, **kwargs)
+
+
+class TestProcessEntry:
+    """``run()`` flushes what ``main`` wrote and ends the process with ``os._exit``."""
+
+    def test_output_larger_than_a_pipe_is_whole(self, capsys):
+        argv = ["check", "--random", "1000", "--seed", "7", "--s", "2"]
+        proc = child("-m", "geomlife.cli", *argv)
+        code, out, _ = run(capsys, *argv)
+        assert len(proc.stdout) > 65536
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+    def test_output_file(self, tmp_path):
+        out = tmp_path / "estimate.json"
+        proc = child("-m", "geomlife.cli", "estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS,
+                     "--output", str(out))
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        assert out.read_bytes() == (GOLDEN / "estimate_table3.out").read_bytes()
+
+    def test_degenerate_table_exits_2_with_its_output(self, tmp_path):
+        path = tmp_path / "censored.csv"
+        path.write_text("cohort,outcome,count\n0,cens,5\n")
+        proc = child("-m", "geomlife.cli", "estimate", "--input", str(path), *DESIGN_FLAGS)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["degenerate"] is True
+
+    @pytest.mark.parametrize("argv,code", [(["estimate", "--bogus"], 1), (["--help"], 0)], ids=["usage-error", "help"])
+    def test_argparse_exit(self, argv, code):
+        proc = child("-m", "geomlife.cli", *argv)
+        assert proc.returncode == code
+        assert (proc.stdout + proc.stderr).startswith(b"usage: geomlife")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS],
+            ["check", "--random", "200", "--seed", "7", "--s", "2"],  # more than one buffer's worth
+        ],
+        ids=["estimate", "check-random"],
+    )
+    def test_unwritable_stdout_is_input_error(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = child("-m", "geomlife.cli", *argv, stdout=full, unbuffered=unbuffered)
+        errors = [line for line in proc.stderr.decode().splitlines() if line.startswith("error: ")]
+        assert proc.returncode == 1, proc.stderr
+        assert errors == [f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"], proc.stderr
+        assert b"Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
+    def test_closed_stdout_with_output_file(self, tmp_path):
+        out = tmp_path / "estimate.json"
+        proc = child("-m", "geomlife.cli", "estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS,
+                     "--output", str(out), stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / "estimate_table3.out").read_bytes()
+
+    def test_teardown_is_skipped(self):
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown ran')\n"
+            "sys.argv = ['geomlife', 'paths', '--x', '4', '--t', '3', '--theta', '0.1', '--s', '2', '--G', '5']\n"
+            "runpy.run_module('geomlife.cli', run_name='__main__')\n"
+        )
+        proc = child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "paths_event.out").read_bytes()  # no marker after the output
