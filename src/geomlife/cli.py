@@ -21,7 +21,9 @@ The ``geomlife`` command and ``python -m geomlife.cli`` enter through
 ``run()``: it calls ``main()``, flushes stdout and stderr, and ends the
 process with ``os._exit``, skipping interpreter teardown.  ``atexit``
 handlers therefore do not run in the CLI process, and an output that
-cannot be flushed (a full disk) is an input error, exit 1.  Code that
+cannot be flushed (a full disk) is an input error, exit 1.  So is a
+stderr that cannot be written: its ``error:`` line is dropped, and stdout
+still gets the whole result.  Code that
 embeds the CLI calls ``main(argv)``, which returns the exit code and
 never ends the process.
 """
@@ -406,6 +408,16 @@ def _apply_config(parser: argparse.ArgumentParser, given: argparse.Namespace) ->
         sub.set_defaults(**{dest: value for dest, value in values.items() if dest not in held})
 
 
+def _input_error(exc: Exception) -> int:
+    """Write ``error: exc`` to stderr and return ``EXIT_INPUT_ERROR``; a stderr that cannot take it stays silent."""
+    try:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.flush()
+    except OSError:  # the failed write may be the error itself (stderr on a full disk)
+        pass
+    return EXIT_INPUT_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = given = parser.parse_args(argv)
@@ -413,33 +425,36 @@ def main(argv: list[str] | None = None) -> int:
         try:
             _apply_config(parser, given)
         except (OSError, ValueError) as exc:  # malformed JSON raises a ValueError too
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INPUT_ERROR
+            return _input_error(exc)
         args = parser.parse_args(argv)
     try:
         if args.subcommand == "check":
             _reject_unread_check_flags(args, given)
         return args.func(args)
     except (OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
 
 
 def run() -> NoReturn:
     """The process entry: ``main()``, then flush stdout and stderr and ``os._exit`` (see the module docstring).
 
-    A failed flush is an input error, as a failed write in ``main`` is.  A
-    stream whose descriptor was closed at start-up is ``None`` and skipped.
+    argparse's exit after ``--help`` or a usage error ends here too, with its
+    status.  A failed flush is an input error, as a failed write in ``main``
+    is, and so is an ``OSError`` that leaves ``main``.  A stream whose
+    descriptor was closed at start-up is ``None`` and skipped.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse has written its help or usage, maybe to an unwritable stream
+        code = exc.code
+    except OSError as exc:
+        code = _input_error(exc)
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
     except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        sys.stderr.flush()
-        code = EXIT_INPUT_ERROR
+        code = _input_error(exc)
     os._exit(code)
 
 

@@ -27,7 +27,10 @@ end or first error.
 
 Every input becomes one :class:`AggregateTable`, G + 1 rows of s + 1
 exact ints: row t is cohort t, row G a marginal table's counts; columns
-are failure in window year 1..s, then censored.
+are failure in window year 1..s, then censored.  :func:`person_period`
+reads it as the conditional likelihood does, one cell of events and units
+at risk per row and window year.  Its two readers sum those cells:
+:func:`to_sufficient_stats` all of them, :func:`age_counts` by age.
 """
 
 from __future__ import annotations
@@ -318,35 +321,36 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     return AggregateTable(s, G, rows)
 
 
+def person_period(table: AggregateTable) -> list[tuple[int, int, int, int]]:
+    """The table's person-years as ``(t, j, events, at_risk)`` cells, row by row.
+
+    A unit of row t with outcome d (d = s if censored) is at risk in window
+    years 1 .. d and, if uncensored, fails in year d: in window year j + 1
+    of row t, ``rows[t][j]`` fail out of the ``sum(rows[t][j:])`` at risk.
+    """
+    return [(t, j, row[j], sum(row[j:])) for t, row in enumerate(table.rows) for j in range(table.s)]
+
+
 def to_sufficient_stats(table: AggregateTable) -> SufficientStats:
-    """Collapse an aggregate table to sufficient statistics."""
-    *failures, m_cens = map(sum, zip(*table.rows))  # the pooled row
-    m_uncens = sum(failures)
-    return SufficientStats(
-        m=m_uncens + m_cens,
-        m_uncens=m_uncens,
-        m_cens=m_cens,
-        duration_sum=sum(d * count for d, count in enumerate(failures, start=1)),
-        s=table.s,
-    )
+    """Collapse an aggregate table to sufficient statistics: its cells' events m_uncens and at-risk sum R."""
+    _, _, m_uncens, R = map(sum, zip(*person_period(table)))
+    m_cens = sum(row[table.s] for row in table.rows)
+    return SufficientStats(m_uncens + m_cens, m_uncens, m_cens, R - table.s * m_cens, table.s)
 
 
 def age_counts(table: AggregateTable) -> tuple[list[int], list[int]]:
     """Events and units at risk at ages ``1 .. s+G-1`` of a stratified table.
 
-    A unit of cohort t with outcome d (d = s if censored) is at risk at
-    ages t+1 .. t+d and, if uncensored, fails at age t+d: in window year
-    j + 1 of row t, ``rows[t][j]`` fail out of the ``sum(rows[t][j:])`` at
-    risk.  A marginal table has no cohorts, hence no ages; one whose counts
-    are all 0 is the empty table and has zeros at every age.
+    The :func:`person_period` cell (t, j) is age t + j + 1.  A marginal
+    table has no cohorts, hence no ages; one whose counts are all 0 is the
+    empty table and has zeros at every age.
     """
     s, G = table.s, table.G
     if any(table.rows[G]):
         raise ValueError("age counts need a stratified table (a cohort on every row), got a marginal one")
     events = [0] * (s + G - 1)
     at_risk = [0] * (s + G - 1)
-    for t, row in enumerate(table.rows[:G]):
-        for j in range(s):  # age t + j + 1
-            events[t + j] += row[j]
-            at_risk[t + j] += sum(row[j:])
+    for t, j, cell_events, cell_at_risk in person_period(table)[: G * s]:  # the cohort rows; row G is all 0
+        events[t + j] += cell_events
+        at_risk[t + j] += cell_at_risk
     return events, at_risk

@@ -680,14 +680,13 @@ class TestJsonReady:
         )
 
 
-def child(*args, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
+def child(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False, **kwargs):
     """``python *args`` with the package on its path; stdout is block-buffered unless ``unbuffered``."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env,
-                          timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr, env=env, timeout=120, **kwargs)
 
 
 class TestProcessEntry:
@@ -737,6 +736,31 @@ class TestProcessEntry:
         assert proc.returncode == 1, proc.stderr
         assert errors == [f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"], proc.stderr
         assert b"Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (["estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS], "estimate_table3.out"),
+            (["estimate", *DESIGN_FLAGS], None),  # no --input: its error line cannot be written either
+            (["estimate", "--bogus"], None),  # argparse's usage error
+        ],
+        ids=["estimate", "missing-input", "usage-error"],
+    )
+    def test_unwritable_stderr_is_input_error(self, argv, golden, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = child("-m", "geomlife.cli", *argv, stderr=full, unbuffered=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stdout == (b"" if golden is None else (GOLDEN / golden).read_bytes())
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stderr_is_input_error(self, unbuffered):
+        proc = child("-m", "geomlife.cli", "estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS,
+                     stderr=None, preexec_fn=lambda: os.close(2), unbuffered=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stdout == (GOLDEN / "estimate_table3.out").read_bytes()
 
     @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
     def test_closed_stdout_with_output_file(self, tmp_path):

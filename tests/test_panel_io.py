@@ -1,8 +1,9 @@
 import csv
 import io
+import math
 import os
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from geomlife.panel_io import (
     count_units,
     parse_aggregate,
     parse_units,
+    person_period,
     to_sufficient_stats,
 )
 
@@ -336,6 +338,93 @@ class TestCountUnits:
         path = tmp_path / "units.csv"
         path.write_text("".join(lines))
         assert count_units(path, S, G) == table3()
+
+
+@st.composite
+def _count_tables(draw):
+    """A marginal or a stratified table with s 1..4, G 1..5 and counts 0..50."""
+    s, G = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    row, zero = st.lists(st.integers(0, 50), min_size=s + 1, max_size=s + 1), [0] * (s + 1)
+    if draw(st.booleans()):
+        return AggregateTable(s, G, [*[zero] * G, draw(row)])
+    return AggregateTable(s, G, [*draw(st.lists(row, min_size=G, max_size=G)), zero])
+
+
+def _age_counts_by_row_sums(table):
+    """Age counts summed straight from the rows, as before :func:`person_period`: the oracle of ``age_counts``."""
+    s, G = table.s, table.G
+    events = [0] * (s + G - 1)
+    at_risk = [0] * (s + G - 1)
+    for t, row in enumerate(table.rows[:G]):
+        for j in range(s):  # age t + j + 1
+            events[t + j] += row[j]
+            at_risk[t + j] += sum(row[j:])
+    return events, at_risk
+
+
+def _loglik(cells, key):
+    """The binomial log-likelihood of person-period cells with one hazard, events over at risk, per ``key(t, j)``."""
+    groups = defaultdict(lambda: [0, 0])
+    for t, j, events, at_risk in cells:
+        group = groups[key(t, j)]
+        group[0] += events
+        group[1] += at_risk
+    xlogy = lambda x, y: x * math.log(y) if x else 0.0
+    return sum(xlogy(e, e / r) + xlogy(r - e, 1 - e / r) for e, r in groups.values() if r)
+
+
+class TestPersonPeriod:
+    def test_hand_example(self):
+        # cohort 0: 3 fail in year 1, 2 censored; cohort 1: 5 fail in year 2
+        table = AggregateTable(s=2, G=2, rows=[(3, 0, 2), (0, 5, 0), (0, 0, 0)])
+        assert person_period(table) == [(0, 0, 3, 5), (0, 1, 0, 2), (1, 0, 0, 5), (1, 1, 5, 5), (2, 0, 0, 0), (2, 1, 0, 0)]
+
+    @given(table=_count_tables())
+    def test_equals_per_unit_expansion(self, table):
+        s, G = table.s, table.G
+        units = [
+            (t, min(column + 1, s), column == s)  # (t, d, censored)
+            for t, row in enumerate(table.rows)
+            for column, count in enumerate(row)
+            for _ in range(count)
+        ]
+        events, at_risk = Counter(), Counter()
+        for t, d, censored in units:
+            for year in range(1, d + 1):
+                at_risk[t, year - 1] += 1
+            if not censored:
+                events[t, d - 1] += 1
+        assert person_period(table) == [(t, j, events[t, j], at_risk[t, j]) for t in range(G + 1) for j in range(s)]
+        if any(table.rows[G]):
+            with pytest.raises(ValueError, match="stratified table"):
+                age_counts(table)
+        else:
+            assert age_counts(table) == _age_counts_by_row_sums(table)
+
+    def test_constant_sums_are_the_sufficient_stats(self):
+        for table in (table3(), table1()):
+            _, _, events, at_risk = map(sum, zip(*person_period(table)))
+            stats = to_sufficient_stats(table)
+            assert (events, at_risk) == (stats.m_uncens, stats.risk_time) == (275_162, 2_727_516)
+
+    # Each grouping's G statistic against the saturated (t, j) model: the reference panel's misfit
+    @pytest.mark.parametrize(
+        "key,statistic",
+        [
+            (lambda t, j: 0, 33_976.2),
+            (lambda t, j: t + j, 14_235.1),
+            (lambda t, j: t, 11_767.6),
+            (lambda t, j: j, 26_006.1),
+        ],
+        ids=["constant", "age", "cohort", "window-year"],
+    )
+    def test_groupings_against_saturated(self, key, statistic):
+        cells = person_period(table3())
+        assert 2 * (_loglik(cells, lambda t, j: (t, j)) - _loglik(cells, key)) == pytest.approx(statistic, abs=0.1)
+
+    def test_window_year_against_constant_on_the_marginal_table(self):
+        cells = person_period(table1())
+        assert 2 * (_loglik(cells, lambda t, j: j) - _loglik(cells, lambda t, j: 0)) == pytest.approx(7_970.1, abs=0.1)
 
 
 class TestToSufficientStats:
