@@ -23,15 +23,17 @@ process with ``os._exit``, skipping interpreter teardown.  ``atexit``
 handlers therefore do not run in the CLI process, and an output that
 cannot be flushed (a full disk) is an input error, exit 1.  So is a
 stderr that cannot be written: its ``error:`` line is dropped, and stdout
-still gets the whole result.  Code that
-embeds the CLI calls ``main(argv)``, which returns the exit code and
-never ends the process.
+still gets the whole result.  A stream whose descriptor was closed at
+start-up is one that cannot be written, and so is argparse's help or
+usage text when its write fails.  Code that embeds the CLI calls
+``main(argv)``, which returns the exit code and never ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import numbers
@@ -295,12 +297,34 @@ def cmd_paths(args) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     """An argparse parser whose usage errors exit ``EXIT_INPUT_ERROR``, not 2.
 
-    Subparsers are built from the parser's own class, so they inherit it.
+    A help or usage text that cannot be written raises its ``OSError``,
+    which argparse itself would swallow.  Subparsers are built from the
+    parser's own class, so they inherit both.
     """
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        file = file or sys.stderr
+        if message and file is not None:  # None: a descriptor closed while main() is embedded
+            file.write(message)
+
+
+class _ClosedStream:
+    """Stands in for ``sys.stdout`` or ``sys.stderr`` when its descriptor was closed at start-up.
+
+    Python sets such a stream to None.  A write to this one fails as a
+    write to a closed descriptor does, so it is an input error like any
+    output that cannot be written.
+    """
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,8 +465,13 @@ def run() -> NoReturn:
     argparse's exit after ``--help`` or a usage error ends here too, with its
     status.  A failed flush is an input error, as a failed write in ``main``
     is, and so is an ``OSError`` that leaves ``main``.  A stream whose
-    descriptor was closed at start-up is ``None`` and skipped.
+    descriptor was closed at start-up, which Python sets to ``None``, is
+    replaced by a :class:`_ClosedStream` first.
     """
+    if sys.stdout is None:
+        sys.stdout = _ClosedStream()
+    if sys.stderr is None:
+        sys.stderr = _ClosedStream()
     try:
         code = main()
     except SystemExit as exc:  # argparse has written its help or usage, maybe to an unwritable stream
@@ -450,9 +479,8 @@ def run() -> NoReturn:
     except OSError as exc:
         code = _input_error(exc)
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        sys.stdout.flush()
+        sys.stderr.flush()
     except OSError as exc:
         code = _input_error(exc)
     os._exit(code)

@@ -14,9 +14,11 @@ rows and strips the three cells of every other row (``_cells``), and each
 integer cell is parsed by ``_integer``, so an error names the same line
 and wording in either format.  The fast path of :func:`count_units`
 reads the file with universal newlines, which end a line where
-``csv.reader`` does, splits each ``_BLOCK`` characters of its text at
-``\\n`` and applies the same header, row and cell rules to each distinct
-line; both of its paths tally one ``Counter`` of ``(t, d, censored)``.
+``csv.reader`` does, ``_BLOCK`` characters at a time.  The complete lines
+of a block are counted by columns (``_count_fixed_width``) when each is
+``t,d,c`` with one-digit cells or ``t,,1``; any other block is split at
+``\\n``, and the same header, row and cell rules are applied to each
+distinct line.  Every path tallies one ``Counter`` of ``(t, d, censored)``.
 
 A strict text stream is switched to ``errors="surrogateescape"`` and left
 so: an undecodable byte reaches its row and is reported on its own line, in
@@ -49,9 +51,12 @@ CENSORED_OUTCOME = "cens"
 AGGREGATE_HEADER = ["cohort", "outcome", "count"]
 UNITS_HEADER = ["t", "d", "censored"]
 
-#: Characters of decoded text that the distinct-line count of
-#: :func:`count_units` splits into lines at a time.
+#: Characters of decoded text that :func:`count_units` counts at a time.
 _BLOCK = 1 << 16
+
+#: ASCII digits to their values 0..9 and every other byte to 0xFF, which
+#: no valid code of :func:`_count_fixed_width` holds.
+_DIGITS = bytes(byte - 48 if 48 <= byte <= 57 else 0xFF for byte in range(256))
 
 
 class PanelFormatError(ValueError):
@@ -253,12 +258,40 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
     return [ObservedUnit(*parsed) for parsed in _unit_rows(stream, s, G)]
 
 
+def _count_fixed_width(text: str, s: int, G: int) -> Counter | None:
+    """Count ``text``, lines that each end in ``\\n``, when every line is ``t,d,c`` with one-digit cells.
+
+    An empty d of a censored line is d = s.  Each line then takes 6 bytes,
+    and its three digits are packed into one UTF-32 code, ``t | d << 8 |
+    c << 16``, that ``str.count`` counts.  The text is accepted only if the
+    counts of the G * (s + 1) valid codes sum to its number of lines, so a
+    blank line, padding, t >= G or a censored d other than s returns None.
+    """
+    if not (G <= 10 and 1 <= s <= 9 and text.isascii()):
+        return None
+    data = text.replace(",,1\n", f",{s},1\n").encode()
+    n, rest = divmod(len(data), 6)
+    if rest or data[1::2] != b",,\n" * n:
+        return None
+    digits = data.translate(_DIGITS)  # a byte that is no digit cannot pass as one
+    codes = bytearray(4 * n)
+    codes[0::4], codes[1::4], codes[2::4] = digits[0::6], digits[2::6], digits[4::6]
+    packed = codes.decode("utf-32-le", "replace")  # 0xFF in the third byte is past U+10FFFF
+    units = Counter()
+    for t in range(G):
+        for d, censored in [(d, False) for d in range(1, s + 1)] + [(s, True)]:
+            units[t, d, censored] = packed.count(chr(t | d << 8 | censored << 16))
+    return units if units.total() == n else None
+
+
 def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
-    """Count a unit file's ``(t, d, censored)`` by validating each distinct line once.
+    """Count a unit file's ``(t, d, censored)`` by columns, else by validating each distinct line once.
 
     ``fh`` reads with universal newlines, so every line ends in ``\\n``.
-    After the header, reads ``_BLOCK`` characters at a time and splits the
-    unfinished line of the last block plus the new block at ``\\n``.
+    After the header, reads ``_BLOCK`` characters at a time.  The complete
+    lines of the unfinished line of the last block plus the new block are
+    counted by :func:`_count_fixed_width` if it accepts them, else split at
+    ``\\n`` and counted as distinct lines.
 
     Returns None, and the caller reads the file row by row, which reports
     the first error with its line number, when the header, a distinct
@@ -278,9 +311,15 @@ def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
     try:
         _check_header(header.rstrip("\n").split(","), UNITS_HEADER)
         while len(tail) < limit and (block := fh.read(_BLOCK)):
-            pieces = (tail + block).split("\n")
-            tail = pieces.pop()
-            lines.update(pieces)
+            text = tail + block
+            end = text.rfind("\n") + 1
+            if (counted := _count_fixed_width(text[:end], s, G)) is not None:
+                units.update(counted)
+                tail = text[end:]
+            else:
+                pieces = text.split("\n")
+                tail = pieces.pop()
+                lines.update(pieces)
         lines[tail] += 1
         if max(map(len, [header, *lines])) >= limit:
             return None
@@ -297,14 +336,17 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     """Read a ``t,d,censored`` file straight into an aggregate table.
 
     Equal to tabulating :func:`parse_units`, with the same errors, but a
-    valid file costs one pass over its text, split into lines a block at
-    a time, and memory in the number of distinct lines, not rows.  A pipe
-    takes the per-row path, which counts the rows as they are read; so
-    does a file with a distinct line that does not split into a valid row
-    (a quoted cell, an undecodable byte, an invalid row, ...) or with a
-    line as long as ``csv.field_size_limit()``.  The per-row path reads the
-    same stream with ``newline=""``, as ``csv.reader`` needs, so a quoted
-    cell keeps its ``\\r``.
+    valid file is read a block at a time and costs memory in one block and
+    its distinct lines, not rows.  A block whose lines are all ``t,d,c``
+    with one-digit cells (a censored d may be empty) is counted by columns,
+    with no string per line; any other block is split into lines, and each
+    distinct line is validated once.  A pipe takes the per-row path, which
+    counts the rows as they are read; so does a file with a distinct line
+    that does not split into a valid row (a quoted cell, an undecodable
+    byte, an invalid row, ...) or with a line as long as
+    ``csv.field_size_limit()``.  The per-row path reads the same stream
+    with ``newline=""``, as ``csv.reader`` needs, so a quoted cell keeps
+    its ``\\r``.
     """
     with open(path, errors="surrogateescape") as fh:
         units = None

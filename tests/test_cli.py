@@ -726,8 +726,9 @@ class TestProcessEntry:
         [
             ["estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS],
             ["check", "--random", "200", "--seed", "7", "--s", "2"],  # more than one buffer's worth
+            ["--help"],  # argparse's own write, which it would swallow
         ],
-        ids=["estimate", "check-random"],
+        ids=["estimate", "check-random", "help"],
     )
     def test_unwritable_stdout_is_input_error(self, argv, unbuffered):
         with open("/dev/full", "w") as full:
@@ -761,6 +762,31 @@ class TestProcessEntry:
                      stderr=None, preexec_fn=lambda: os.close(2), unbuffered=unbuffered)
         assert proc.returncode == 1
         assert proc.stdout == (GOLDEN / "estimate_table3.out").read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stderr_ends_through_run(self, unbuffered):
+        # Python sets sys.stderr to None when descriptor 2 is closed; the error must not escape run()
+        argv = ["geomlife", "estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS]
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown ran')\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('geomlife.cli', run_name='__main__')\n"
+        )
+        proc = child("-c", code, stderr=None, preexec_fn=lambda: os.close(2), unbuffered=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stdout == (GOLDEN / "estimate_table3.out").read_bytes()  # no marker after the output
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["estimate", "--input", str(DATA / "table3.csv"), *DESIGN_FLAGS], ["--help"]], ids=["estimate", "help"]
+    )
+    def test_closed_stdout_is_input_error(self, argv, unbuffered):
+        proc = child("-m", "geomlife.cli", *argv, stdout=None, preexec_fn=lambda: os.close(1), unbuffered=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {OSError(errno.EBADF, os.strerror(errno.EBADF))}\n".encode()
 
     @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
     def test_closed_stdout_with_output_file(self, tmp_path):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomlife import panel_io
@@ -190,9 +190,29 @@ def _unit_files(draw):
     return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])), errors="replace")
 
 
+def _column_counts(monkeypatch):
+    """What ``_count_fixed_width`` returns for each block of the next ``count_units`` calls."""
+    results = []
+    helper = panel_io._count_fixed_width
+
+    def record(text, s, G):
+        results.append(helper(text, s, G))
+        return results[-1]
+
+    monkeypatch.setattr(panel_io, "_count_fixed_width", record)
+    return results
+
+
+def _canonical_rows(count):
+    """``count`` rows of s = 2, G = 5 in the column layout, censored ones as ``t,,1`` and ``t,2,1``."""
+    return [f"{i % 5},{i % 2 + 1},0" if i % 3 else f"{i % 5},{'2' if i % 2 else ''},1" for i in range(count)]
+
+
 class TestCountUnits:
     @settings(max_examples=400)
     @given(data=_unit_files())
+    @example(data=b"t,d,censored\n\x01,1,0\n")  # a control byte is not the digit 1
+    @example(data=b"t,d,censored\n,,\n,,\n")  # two blank rows of 6 bytes each: no UTF-32 code
     def test_agrees_with_per_row_parse(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("units") / "units.csv"
         path.write_bytes(data)
@@ -254,6 +274,62 @@ class TestCountUnits:
 
         monkeypatch.setattr(panel_io, "_unit_rows", refuse)
         assert count_units(path, 2, 5) == expected
+
+    def test_canonical_file_is_counted_by_columns(self, tmp_path, monkeypatch):
+        path = tmp_path / "units.csv"
+        path.write_text("\n".join(["t,d,censored", *_canonical_rows(50_001), ""]))
+        expected = _per_row(path)
+        assert expected.m == 50_001
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a canonical row was validated as a distinct line")
+
+        monkeypatch.setattr(panel_io, "_unit_row", refuse)
+        results = _column_counts(monkeypatch)
+        assert count_units(path, 2, 5) == expected
+        body_size = path.stat().st_size - len("t,d,censored\n")
+        assert len(results) == math.ceil(body_size / panel_io._BLOCK) > 4
+        assert None not in results
+
+    @pytest.mark.parametrize(
+        "body,s,G,columns",
+        [
+            ("0,1,0\n\x01,1,0\n4,,1\n", 2, 5, False),  # a control byte where t's digit belongs
+            ("0,1,0\n,,\n,,\n4,,1\n", 2, 5, False),  # blank rows as wide as a row
+            ("0,1,0\n\n4,,1\n", 2, 5, False),  # a blank line inside a block
+            ("0,1,0\n 0,1,0\n4,,1\n", 2, 5, False),  # padding
+            ("0,1,0\n0;1;0\n4,,1\n", 2, 5, False),  # digits in place, but not the commas
+            ("0,1,0\n5,1,0\n4,,1\n", 2, 5, False),  # t >= G
+            ("0,1,0\n4,1,1\n4,,1\n", 2, 5, False),  # censored with d != s
+            ("0,1,0\n9,9,0\n9,,1\n3,9,1\n", 9, 10, True),  # the widest design that fits one digit
+            ("0,1,0\n10,1,0\n9,,1\n", 9, 11, False),
+            ("0,1,0\n9,10,0\n9,,1\n", 10, 10, False),
+            ("0,1,0\n9,1,0\n9,,1\n", 10, 11, False),  # single digits, but t or d might not be
+            ("0,,1\n", 0, 5, False),  # no window year: not even a censored unit is valid
+        ],
+        ids=["control-byte", "blank-commas", "blank-line", "padded", "semicolons", "t-too-large", "censored-d",
+             "G10-s9", "G11", "s10", "G11-s10", "s0"],
+    )
+    def test_column_count_agrees_with_per_row_parse(self, tmp_path, monkeypatch, body, s, G, columns):
+        path = tmp_path / "units.csv"
+        path.write_text("t,d,censored\n" + body)
+        results = _column_counts(monkeypatch)
+        assert _counted(path, s, G) == _per_row(path, s, G)
+        assert results == [results[0]] and (results[0] is not None) == columns
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_empty_d_across_a_block_edge(self, tmp_path, monkeypatch, block):
+        rows = ["1,2,0", *_canonical_rows(300)]  # without the first row, every t,,1 row starts at a 7-edge
+        body = "".join(row + "\n" for row in rows)
+        starts = [0] + [i + 1 for i, char in enumerate(body[:-1]) if char == "\n"]
+        split = [row for row, at in zip(rows, starts) if at // block != (at + len(row)) // block]
+        assert any(row.endswith(",,1") for row in split)  # a t,,1 row whose \n is in the next block
+        path = tmp_path / "units.csv"
+        path.write_text("t,d,censored\n" + body)
+        monkeypatch.setattr(panel_io, "_BLOCK", block)
+        results = _column_counts(monkeypatch)
+        assert count_units(path, 2, 5) == _per_row(path)
+        assert None not in results
 
     def test_line_over_field_limit_is_read_no_further(self, tmp_path):
         limit = csv.field_size_limit()
