@@ -16,9 +16,13 @@ and wording in either format.  The fast path of :func:`count_units`
 reads the file with universal newlines, which end a line where
 ``csv.reader`` does, ``_BLOCK`` characters at a time.  The complete lines
 of a block are counted by columns (``_count_fixed_width``) when each is
-``t,d,c`` with one-digit cells or ``t,,1``; any other block is split at
-``\\n``, and the same header, row and cell rules are applied to each
-distinct line.  Every path tallies one ``Counter`` of ``(t, d, censored)``.
+``t,d,c`` with one-digit cells or ``t,,1``: one ``codecs.escape_decode``
+call, with each comma read as a backslash, unescapes both forms to 4-byte
+records, and the block is accepted only when every record is a valid
+row and the block is as long as those rows written out.  Any other block
+is split at ``\\n``, and the same header, row and cell rules are applied
+to each distinct line.  Every path tallies one ``Counter`` of
+``(t, d, censored)``.
 
 A strict text stream is switched to ``errors="surrogateescape"`` and left
 so: an undecodable byte reaches its row and is reported on its own line, in
@@ -37,6 +41,7 @@ at risk per row and window year.  Its two readers sum those cells:
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from collections import Counter
@@ -54,9 +59,29 @@ UNITS_HEADER = ["t", "d", "censored"]
 #: Characters of decoded text that :func:`count_units` counts at a time.
 _BLOCK = 1 << 16
 
-#: ASCII digits to their values 0..9 and every other byte to 0xFF, which
-#: no valid code of :func:`_count_fixed_width` holds.
-_DIGITS = bytes(byte - 48 if 48 <= byte <= 57 else 0xFF for byte in range(256))
+
+def _table(source: bytes, target: bytes, default: bytes) -> bytes:
+    """A ``bytes.translate`` table from ``source`` to ``target``, every other byte to ``default``."""
+    rest = bytes(range(256)).translate(None, source)
+    return bytes.maketrans(source + rest, target + default * len(rest))
+
+
+#: Digits 0..9 as :func:`codecs.escape_decode` reads them after a backslash:
+#: ``\0``..``\7`` are the octal bytes 0..7, ``\b`` is 8 and ``\t`` is 9.
+_WRITTEN = b"01234567bt"
+
+#: A unit file's bytes as escape_decode input.  A comma becomes a backslash,
+#: so ``t,d,c\n`` unescapes to four bytes: t written, d and c escaped, the
+#: line end; ``t,,1\n`` to t, an escaped backslash, a written 1 and the
+#: line end.  Every other byte becomes ``x``: no digit, and after a
+#: backslash the start of a hex escape, never of an escape the codec warns
+#: about as unknown.
+_ESCAPE = _table(b"0123456789,\n", _WRITTEN + b"\\\n", b"x")
+
+#: Unescaped bytes to code bytes: the line end to 0, escaped digits 0..9,
+#: written digits 0..9 and the escaped backslash each to a value of their
+#: own, every other byte to 0xFF, which no valid code holds.
+_CODE = _table(b"\n" + bytes(range(10)) + _WRITTEN + b"\\", bytes(range(22)), b"\xff")
 
 
 class PanelFormatError(ValueError):
@@ -259,29 +284,43 @@ def parse_units(stream: io.TextIOBase, s: int, G: int) -> list[ObservedUnit]:
 
 
 def _count_fixed_width(text: str, s: int, G: int) -> Counter | None:
-    """Count ``text``, lines that each end in ``\\n``, when every line is ``t,d,c`` with one-digit cells.
+    """Count ``text``, lines that each end in ``\\n``, when every line is ``t,d,c`` or ``t,,1`` with one-digit cells.
 
-    An empty d of a censored line is d = s.  Each line then takes 6 bytes,
-    and its three digits are packed into one UTF-32 code, ``t | d << 8 |
-    c << 16``, that ``str.count`` counts.  The text is accepted only if the
-    counts of the G * (s + 1) valid codes sum to its number of lines, so a
-    blank line, padding, t >= G or a censored d other than s returns None.
+    ``_ESCAPE`` and one ``codecs.escape_decode`` call narrow each such line
+    to a 4-byte record, and ``_CODE`` turns each record into one UTF-32
+    code that ``str.count`` counts.  The text is accepted only if the
+    G * (s + 1) + G valid codes sum to its number of records n and it is
+    6 * n bytes long, less one per ``t,,1`` line.  A byte of a valid
+    record has one cheapest spelling, the one in a valid line: two input
+    bytes for an escaped digit or backslash, one for a written digit or
+    the line end.  Any other spelling (a leading zero, a longer octal or
+    hex escape, a backslash before a line end) costs more bytes, so a
+    text of that size is exactly its valid lines.  A blank line, padding,
+    t >= G or a censored d other than s returns None, as does an escape
+    the codec refuses: ``ValueError``, or a ``DeprecationWarning`` that
+    the warning filters raise.
     """
     if not (G <= 10 and 1 <= s <= 9 and text.isascii()):
         return None
-    data = text.replace(",,1\n", f",{s},1\n").encode()
-    n, rest = divmod(len(data), 6)
-    if rest or data[1::2] != b",,\n" * n:
+    data = text.encode()
+    try:
+        unescaped = codecs.escape_decode(data.translate(_ESCAPE))[0]
+    except (ValueError, DeprecationWarning):
         return None
-    digits = data.translate(_DIGITS)  # a byte that is no digit cannot pass as one
-    codes = bytearray(4 * n)
-    codes[0::4], codes[1::4], codes[2::4] = digits[0::6], digits[2::6], digits[4::6]
-    packed = codes.decode("utf-32-le", "replace")  # 0xFF in the third byte is past U+10FFFF
+    packed = unescaped.translate(_CODE).decode("utf-32-le", "replace")  # a record holding 0xFF is no valid code
+
+    def count(t: int, d: int, c: int) -> int:  # the records of t written, the unescaped bytes d and c, \n
+        return packed.count(chr(int.from_bytes(bytes([_WRITTEN[t], d, c, 10]).translate(_CODE), "little")))
+
     units = Counter()
+    short = 0  # t,,1 lines, one byte shorter than t,s,1
     for t in range(G):
-        for d, censored in [(d, False) for d in range(1, s + 1)] + [(s, True)]:
-            units[t, d, censored] = packed.count(chr(t | d << 8 | censored << 16))
-    return units if units.total() == n else None
+        for d in range(1, s + 1):
+            units[t, d, False] = count(t, d, 0)
+        short += (empty := count(t, ord("\\"), _WRITTEN[1]))
+        units[t, s, True] = count(t, s, 1) + empty
+    n = len(packed)
+    return units if units.total() == n and len(data) == 6 * n - short else None
 
 
 def _count_distinct_lines(fh: io.TextIOBase, s: int, G: int) -> Counter | None:
@@ -338,8 +377,10 @@ def count_units(path, s: int, G: int) -> AggregateTable:
     Equal to tabulating :func:`parse_units`, with the same errors, but a
     valid file is read a block at a time and costs memory in one block and
     its distinct lines, not rows.  A block whose lines are all ``t,d,c``
-    with one-digit cells (a censored d may be empty) is counted by columns,
-    with no string per line; any other block is split into lines, and each
+    with one-digit cells (a censored d may be empty) is unescaped to one
+    4-byte record per line and counted by columns, with no string per
+    line (:func:`_count_fixed_width`); a block it refuses, whether by its
+    codes, its size or a codec error, is split into lines, and each
     distinct line is validated once.  A pipe takes the per-row path, which
     counts the rows as they are read; so does a file with a distinct line
     that does not split into a valid row (a quoted cell, an undecodable

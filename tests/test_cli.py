@@ -719,6 +719,15 @@ class TestProcessEntry:
         assert proc.returncode == code
         assert (proc.stdout + proc.stderr).startswith(b"usage: geomlife")
 
+    @pytest.mark.parametrize("flags", [["-W", "error", "-X", "dev"], []], ids=["warnings-as-errors", "default"])
+    def test_unit_codec_warning_prints_nothing(self, tmp_path, flags):
+        # the column count unescapes 0,444,1 to an octal escape past 0o377, which the codec warns about
+        path = tmp_path / "units.csv"
+        path.write_text("t,d,censored\n0,1,0\n0,444,1\n")
+        proc = child(*flags, "-m", "geomlife.cli", "estimate", "--format", "units", "--input", str(path), *DESIGN_FLAGS)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: line 3: censored unit must have d = s = 2 or empty, got 444\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import threading
+import warnings
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -208,6 +209,29 @@ def _canonical_rows(count):
     return [f"{i % 5},{i % 2 + 1},0" if i % 3 else f"{i % 5},{'2' if i % 2 else ''},1" for i in range(count)]
 
 
+@st.composite
+def _edited_canonical_rows(draw):
+    """``(text, s, G)``: one-digit ``t,d,c`` and ``t,,1`` lines of a design with G <= 10, s <= 9, after 0-3 edits.
+
+    An edit inserts or deletes a digit, comma, line end, backslash, ``x`` or space.
+    """
+    s, G = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+    t = st.integers(0, G - 1)
+    row = st.one_of(
+        st.builds("{},{},0".format, t, st.integers(1, s)),
+        st.builds(f"{{}},{s},1".format, t),
+        st.builds("{},,1".format, t),
+    )
+    text = "".join(line + "\n" for line in draw(st.lists(row, max_size=12)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if at < len(text) and draw(st.booleans()):
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + draw(st.sampled_from(list("0123456789,\n\\x "))) + text[at:]
+    return text, s, G
+
+
 class TestCountUnits:
     @settings(max_examples=400)
     @given(data=_unit_files())
@@ -227,6 +251,29 @@ class TestCountUnits:
         path.write_bytes(data)
         with mock.patch.object(panel_io, "_BLOCK", block):
             assert _counted(path) == _per_row(path)
+
+    @settings(max_examples=1000)
+    @given(case=_edited_canonical_rows())
+    # Accepted by a decoder with one code per digit value, written or escaped; the per-row parse rejects each
+    @example(case=("0,1\n\n0,01,0\n", 2, 5))
+    @example(case=("05,1\n0,01,0\n", 5, 5))
+    @example(case=("53,60\n", 6, 8))
+    @example(case=("11,1\n4,1,0\n0,\n1,0\n1,1,0\n", 1, 5))
+    def test_column_count_is_none_or_per_row_count(self, case):
+        text, s, G = case
+        counted = panel_io._count_fixed_width(text, s, G)
+        if counted is not None:
+            assert +counted == Counter(panel_io._unit_rows(io.StringIO("t,d,censored\n" + text), s, G))
+
+    def test_codec_warning_refuses_the_block(self, tmp_path, monkeypatch):
+        # \444 is an octal escape past 0o377, which escape_decode warns about from Python 3.11 on
+        path = tmp_path / "units.csv"
+        path.write_text("t,d,censored\n0,1,0\n0,444,1\n")
+        results = _column_counts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _counted(path) == (PanelFormatError, "line 3: censored unit must have d = s = 2 or empty, got 444")
+        assert results == [None]
 
     def test_bad_row_after_valid_lines_reports_first_error(self, tmp_path):
         path = tmp_path / "units.csv"
