@@ -22,15 +22,11 @@ _EXPORTS = {
     "wald_ci": "estimator",
     "conditional_loglik": "likelihood",
     "grid_argmax": "likelihood",
-    "likelihood_contribution": "likelihood",
     "LatentUnit": "model",
     "ObservedUnit": "model",
     "StudyDesign": "model",
     "TruncationDist": "model",
-    "geom_pmf": "model",
-    "geom_survival": "model",
     "life_expectancy": "model",
-    "observe": "model",
     "sample_units": "model",
     "AggregateTable": "panel_io",
     "PanelFormatError": "panel_io",

@@ -18,23 +18,12 @@ import math
 from functools import partial
 
 from .estimator import NoRiskTimeError, SufficientStats
-from .model import THETA_EPS, LatentUnit, StudyDesign, check_theta
+from .model import THETA_EPS, check_theta
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Points of grid_argmax's uniform grid over [THETA_EPS, 1 - THETA_EPS].
 GRID_POINTS = 2001
-
-
-def likelihood_contribution(unit: LatentUnit, design: StudyDesign, theta: float) -> float:
-    """Conditional likelihood contribution of one latent unit."""
-    check_theta(theta)
-    x, t, s = unit.x, unit.t, design.s
-    if x <= t:
-        return 1.0
-    event = 1 if x <= t + s else 0
-    exponent = min(x - 1, t + s) - t
-    return theta**event * (1.0 - theta) ** exponent
 
 
 def _xlogy(count: float, p: float) -> float:

@@ -9,8 +9,8 @@ observation starts (``x >= t + 1``); otherwise it is left-truncated and
 leaves no record at all.  Units alive after the ``s``-year window are
 right-censored.
 
-numpy is imported inside the functions that build arrays, so the scalar
-half of this module (designs, units, ``observe``) costs no numpy import.
+numpy is imported inside the functions that build arrays, so the designs
+and units of this module cost no numpy import.
 Records are ``typing.NamedTuple`` classes; a validated one checks its
 invariants in ``__new__`` and sets :data:`_make`, which ``_replace`` calls.
 Integer parameters (``s``, ``G``, ``x``, ``t``, a study's ``n``) are checked
@@ -150,30 +150,6 @@ class ObservedUnit(NamedTuple):
     censored: bool
 
 
-def geom_pmf(theta: float, x) -> float:
-    """P(X = x) = theta * (1 - theta)^(x-1) for integer lifespans x >= 1."""
-    import numpy as np
-
-    check_theta(theta)
-    x = np.asarray(x)
-    if np.any(x < 1):
-        raise ValueError("lifespan x must be >= 1")
-    out = theta * (1.0 - theta) ** (x - 1)
-    return float(out) if out.ndim == 0 else out
-
-
-def geom_survival(theta: float, x) -> float:
-    """P(X >= x+1) = (1 - theta)^x for integer ages x >= 0."""
-    import numpy as np
-
-    check_theta(theta)
-    x = np.asarray(x)
-    if np.any(x < 0):
-        raise ValueError("age x must be >= 0")
-    out = (1.0 - theta) ** x
-    return float(out) if out.ndim == 0 else out
-
-
 def life_expectancy(theta: float) -> float:
     """Mean lifespan 1/theta of the geometric distribution on {1, 2, ...}."""
     check_theta(theta)
@@ -208,28 +184,12 @@ def sample_units(
     return x, t
 
 
-def observe(unit: LatentUnit, design: StudyDesign) -> ObservedUnit | None:
-    """Apply the truncation/censoring scheme to a latent unit.
-
-    Returns ``None`` for a unit that failed before observation began
-    (``x <= t``); otherwise the recorded triple.  The mapping is
-    deterministic and uses nothing about the unit before age ``t``.
-    """
-    if unit.t > design.G - 1:
-        raise ValueError(f"truncation age {unit.t} outside cohort support 0..{design.G - 1}")
-    if unit.x <= unit.t:
-        return None
-    censored = unit.x > unit.t + design.s
-    d = min(unit.x, unit.t + design.s) - unit.t
-    return ObservedUnit(t_obs=unit.t, d=d, censored=censored)
-
-
 def observe_arrays(x: np.ndarray, t: np.ndarray, design: StudyDesign) -> np.ndarray:
-    """Vectorized :func:`observe`: one outcome code per unit.
+    """Apply the truncation/censoring scheme to latent units: one outcome code per unit.
 
-    The code is 0 for a truncated unit, the failure year ``d`` in 1..s for
-    an uncensored one and ``s + 1`` for a censored one, so that element
-    by element it encodes what observe() returns.
+    The code is 0 for a truncated unit (``x <= t``), the failure year ``d``
+    in 1..s for an uncensored one and ``s + 1`` for a censored one.
+    ``tests/oracles.py`` has the scalar form, ``observe``, one unit at a time.
     """
     import numpy as np
 

@@ -66,22 +66,28 @@ def _table(source: bytes, target: bytes, default: bytes) -> bytes:
     return bytes.maketrans(source + rest, target + default * len(rest))
 
 
-#: Digits 0..9 as :func:`codecs.escape_decode` reads them after a backslash:
-#: ``\0``..``\7`` are the octal bytes 0..7, ``\b`` is 8 and ``\t`` is 9.
-_WRITTEN = b"01234567bt"
+#: Digits 0..9 as written for :func:`codecs.escape_decode`.  Only 0..3 stay
+#: octal digits, so no run of them after a backslash exceeds ``\333``, and
+#: the codec never warns about an octal escape past ``\377``.
+_WRITTEN = b"0123abfrtv"
+
+#: The digits 0..9 escaped: each of :data:`_WRITTEN` after a backslash.
+_ESCAPED = b"\0\1\2\3\a\b\f\r\t\v"
 
 #: A unit file's bytes as escape_decode input.  A comma becomes a backslash,
 #: so ``t,d,c\n`` unescapes to four bytes: t written, d and c escaped, the
 #: line end; ``t,,1\n`` to t, an escaped backslash, a written 1 and the
 #: line end.  Every other byte becomes ``x``: no digit, and after a
-#: backslash the start of a hex escape, never of an escape the codec warns
-#: about as unknown.
+#: backslash the start of a hex escape.  A backslash is followed by a byte
+#: of ``_WRITTEN``, ``\``, ``\n`` or ``x`` and so always starts an escape the
+#: codec knows: it never warns, and it raises ``ValueError`` on a bad hex
+#: escape or a trailing backslash.
 _ESCAPE = _table(b"0123456789,\n", _WRITTEN + b"\\\n", b"x")
 
 #: Unescaped bytes to code bytes: the line end to 0, escaped digits 0..9,
 #: written digits 0..9 and the escaped backslash each to a value of their
 #: own, every other byte to 0xFF, which no valid code holds.
-_CODE = _table(b"\n" + bytes(range(10)) + _WRITTEN + b"\\", bytes(range(22)), b"\xff")
+_CODE = _table(b"\n" + _ESCAPED + _WRITTEN + b"\\", bytes(range(22)), b"\xff")
 
 
 class PanelFormatError(ValueError):
@@ -297,15 +303,14 @@ def _count_fixed_width(text: str, s: int, G: int) -> Counter | None:
     hex escape, a backslash before a line end) costs more bytes, so a
     text of that size is exactly its valid lines.  A blank line, padding,
     t >= G or a censored d other than s returns None, as does an escape
-    the codec refuses: ``ValueError``, or a ``DeprecationWarning`` that
-    the warning filters raise.
+    the codec refuses with ``ValueError``.
     """
     if not (G <= 10 and 1 <= s <= 9 and text.isascii()):
         return None
     data = text.encode()
     try:
         unescaped = codecs.escape_decode(data.translate(_ESCAPE))[0]
-    except (ValueError, DeprecationWarning):
+    except ValueError:
         return None
     packed = unescaped.translate(_CODE).decode("utf-32-le", "replace")  # a record holding 0xFF is no valid code
 
@@ -316,9 +321,9 @@ def _count_fixed_width(text: str, s: int, G: int) -> Counter | None:
     short = 0  # t,,1 lines, one byte shorter than t,s,1
     for t in range(G):
         for d in range(1, s + 1):
-            units[t, d, False] = count(t, d, 0)
+            units[t, d, False] = count(t, _ESCAPED[d], _ESCAPED[0])
         short += (empty := count(t, ord("\\"), _WRITTEN[1]))
-        units[t, s, True] = count(t, s, 1) + empty
+        units[t, s, True] = count(t, _ESCAPED[s], _ESCAPED[1]) + empty
     n = len(packed)
     return units if units.total() == n and len(data) == 6 * n - short else None
 

@@ -116,17 +116,6 @@ def asymptotic_variance(
     return sigma_pb_sq, 1.0 / sigma_pb_sq
 
 
-def expected_risk_profile(
-    theta0: float, design: StudyDesign, tdist: TruncationDist
-) -> np.ndarray:
-    """E[y_tc_prev(x)] for x = 1..horizon: sum_t pmf(t) 1{t < x <= t+s} q^(x-1)."""
-    q = 1.0 - theta0
-    ages = np.arange(1, design.horizon + 1)
-    t = np.arange(design.G)[:, None]
-    at_risk = (t < ages) & (ages <= t + design.s)
-    return (np.asarray(tdist.pmf)[:, None] * at_risk * q ** (ages - 1)).sum(axis=0)
-
-
 def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate_index,)))
 

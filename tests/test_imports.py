@@ -163,7 +163,19 @@ def test_bare_import_loads_no_submodule(tmp_path):
     assert "numpy" not in top_level(modules)
 
 
+PUBLIC_NAMES = {
+    "EstimateResult", "NoRiskTimeError", "SufficientStats", "estimate", "sufficient_stats", "theta_hat", "var_hat",
+    "wald_ci",
+    "conditional_loglik", "grid_argmax",
+    "LatentUnit", "ObservedUnit", "StudyDesign", "TruncationDist", "life_expectancy", "sample_units",
+    "AggregateTable", "PanelFormatError", "parse_aggregate", "parse_units", "to_sufficient_stats",
+    "PathBundle", "build_paths", "sum_identities",
+    "SimConfig", "StudyReport", "asymptotic_variance", "run_replicate", "run_study",
+}
+
+
 def test_every_public_name_resolves():
+    assert set(geomlife.__all__) == PUBLIC_NAMES  # a name that leaves or joins the API is a decision
     for name in geomlife.__all__:
         value = getattr(geomlife, name)
         assert value.__name__ == name

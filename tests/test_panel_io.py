@@ -259,14 +259,21 @@ class TestCountUnits:
     @example(case=("05,1\n0,01,0\n", 5, 5))
     @example(case=("53,60\n", 6, 8))
     @example(case=("11,1\n4,1,0\n0,\n1,0\n1,1,0\n", 1, 5))
+    # Three-digit cells: only the digits 0..3 are written as octal digits, so no escape passes \377
+    @example(case=("0,1,0\n0,333,1\n", 2, 5))
+    @example(case=("0,1,0\n0,444,1\n", 2, 5))
+    @example(case=("0,1,0\n0,777,1\n", 2, 5))
     def test_column_count_is_none_or_per_row_count(self, case):
         text, s, G = case
-        counted = panel_io._count_fixed_width(text, s, G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the codec never warns, on any input
+            counted = panel_io._count_fixed_width(text, s, G)
         if counted is not None:
             assert +counted == Counter(panel_io._unit_rows(io.StringIO("t,d,censored\n" + text), s, G))
 
     def test_codec_warning_refuses_the_block(self, tmp_path, monkeypatch):
-        # \444 is an octal escape past 0o377, which escape_decode warns about from Python 3.11 on
+        # 0,444,1 must not reach escape_decode as \444, an octal escape past 0o377 that it warns about from
+        # Python 3.11 on; the column count refuses the block by its length
         path = tmp_path / "units.csv"
         path.write_text("t,d,censored\n0,1,0\n0,444,1\n")
         results = _column_counts(monkeypatch)

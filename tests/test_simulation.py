@@ -12,7 +12,6 @@ from geomlife.model import (
     StudyDesign,
     TruncationDist,
     cell_probabilities,
-    geom_pmf,
     observe_arrays,
     sample_units,
 )
@@ -20,7 +19,6 @@ from geomlife.simulation import (
     SimConfig,
     _replicate_rng,
     asymptotic_variance,
-    expected_risk_profile,
     ks_normal,
     martingale_diagnostics,
     replicate_stats,
@@ -31,6 +29,8 @@ from geomlife.simulation import (
     study_tables,
 )
 from geomlife.panel_io import AggregateTable, to_sufficient_stats
+
+from oracles import expected_risk_profile, geom_pmf
 
 DESIGN = StudyDesign(s=2, G=5)
 UNIFORM = TruncationDist.uniform(5)
