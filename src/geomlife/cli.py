@@ -14,8 +14,8 @@ Each subcommand imports only the package modules it runs, inside the
 functions that run them: ``estimate`` loads ``panel_io``, ``estimator``
 and ``model``; ``check`` adds ``likelihood``; ``paths`` loads ``model``
 and ``paths``; ``simulate`` loads ``model``, ``estimator`` and
-``simulation``.  numpy is imported only by ``simulate`` and ``check
---random``, ``json`` only for JSON output or a ``--config`` file.
+``simulation``.  numpy is imported only by ``simulate``, ``json`` only
+for JSON output or a ``--config`` file.
 
 The ``geomlife`` command and ``python -m geomlife.cli`` enter through
 ``run()``: it calls ``main()``, flushes stdout and stderr, and ends the
@@ -44,8 +44,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from typing import NoReturn
 
-    from .estimator import SufficientStats
     from .model import TruncationDist
+    from .panel_io import AggregateTable
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -147,27 +147,25 @@ def _summarize_estimate(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_stats(args) -> SufficientStats:
+def _load_table(args) -> AggregateTable:
     from . import panel_io
     from .model import StudyDesign
 
     _require(args, ["input", "s", "G"])
     StudyDesign(s=args.s, G=args.G)  # names a bad --s or --G before any row is read
     if args.format == "units":
-        table = panel_io.count_units(args.input, s=args.s, G=args.G)
-    else:
-        with open(args.input, newline="") as fh:
-            table = panel_io.parse_aggregate(fh, s=args.s, G=args.G)
-    return panel_io.to_sufficient_stats(table)
+        return panel_io.count_units(args.input, s=args.s, G=args.G)
+    with open(args.input, newline="") as fh:
+        return panel_io.parse_aggregate(fh, s=args.s, G=args.G)
 
 
 def cmd_estimate(args) -> int:
     from .estimator import estimate
     from .model import check_level
+    from .panel_io import to_sufficient_stats
 
     check_level(args.level, "--level")  # named before any row is read, as --s and --G are
-    stats = _load_stats(args)
-    result = estimate(stats, level=args.level)
+    result = estimate(to_sufficient_stats(_load_table(args)), level=args.level)
     payload = result.to_dict()
     row = {}  # the CSV row: the JSON fields in order, each interval split into _lo, _hi
     for key, value in payload.items():
@@ -210,37 +208,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _random_check_stats(seed: int, count: int, s: int) -> list[SufficientStats]:
-    import numpy as np
+def _random_tables(seed: int, count: int, s: int):
+    """``count`` one-cohort tables, each cell drawn from 1..999 by ``random.Random(seed)``: none is degenerate."""
+    import random
 
-    from .estimator import SufficientStats
+    from .panel_io import AggregateTable
 
-    rng = np.random.default_rng(seed)
-    cases = []
+    rng = random.Random(seed)
     for _ in range(count):
-        m_uncens = int(rng.integers(1, 1000))
-        extra = int(rng.integers(0, (s - 1) * m_uncens + 1))
-        m_cens = int(rng.integers(1, 1000))
-        cases.append(
-            SufficientStats(
-                m=m_uncens + m_cens,
-                m_uncens=m_uncens,
-                m_cens=m_cens,
-                duration_sum=m_uncens + extra,
-                s=s,
-            )
-        )
-    return cases
+        yield AggregateTable(s, 1, [[rng.randrange(1, 1000) for _ in range(s + 1)], [0] * (s + 1)])
 
 
 def cmd_check(args) -> int:
     from .estimator import theta_hat
     from .likelihood import grid_argmax
+    from .panel_io import to_sufficient_stats
 
     _require(args, ["s"])
     if args.input is not None:
         _require(args, ["G"])
-        cases = [_load_stats(args)]
+        tables = [_load_table(args)]
     elif args.random is not None:
         _require(args, ["seed"])
         for flag, value in (("--random", args.random), ("--s", args.s)):
@@ -248,14 +235,14 @@ def cmd_check(args) -> int:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
         if args.seed < 0:
             raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
-        cases = _random_check_stats(args.seed, args.random, args.s)
+        tables = _random_tables(args.seed, args.random, args.s)
     else:
         raise ValueError("check needs --input or --random")
 
     rows = []
     worst = 0.0
     degenerate = False
-    for idx, stats in enumerate(cases):
+    for idx, stats in enumerate(map(to_sufficient_stats, tables)):
         if stats.m_uncens in (0, stats.risk_time):  # theta_hat 0, 1 or undefined: off the oracle's grid
             degenerate = True
             sys.stderr.write(f"case {idx}: degenerate stats, skipping oracle comparison\n")

@@ -61,6 +61,12 @@ def check_integer(value: int, name: str, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def check_tdist(tdist: TruncationDist, design: StudyDesign) -> None:
+    """Validate that the truncation pmf has one entry per cohort of the design."""
+    if tdist.G != design.G:
+        raise ValueError(f"truncation pmf has {tdist.G} entries but design has G={design.G}")
+
+
 class StudyDesign(NamedTuple("StudyDesign", [("s", int), ("G", int)])):
     """Observation-window length ``s`` and cohort count ``G``.
 
@@ -223,8 +229,7 @@ def cell_probabilities(theta: float, design: StudyDesign, tdist: TruncationDist)
     import numpy as np
 
     check_theta(theta)
-    if tdist.G != design.G:
-        raise ValueError(f"truncation pmf has {tdist.G} entries but design has G={design.G}")
+    check_tdist(tdist, design)
     q = 1.0 - theta
     t = np.arange(design.G)[:, None]
     d = np.arange(1, design.s + 1)

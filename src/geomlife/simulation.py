@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import SufficientStats
 from .model import (THETA_EPS, StudyDesign, TruncationDist, _make, cell_probabilities, check_integer, check_level,
-                    check_theta, observation_probability)
+                    check_tdist, check_theta, observation_probability)
 
 #: Replicate tables drawn and reduced at a time, so that a study's memory
 #: does not grow with the tables of all K replicates.
@@ -48,12 +48,13 @@ class SimConfig(
                 seed: int, level: float = 0.95):
         check_theta(theta0, eps=THETA_EPS)  # the range sample_units accepts
         check_integer(n, "n", 1)
+        if design.s * int(n) > 2**63 - 1:  # a table's risk time reaches s * n, an int64 sum
+            raise ValueError(f"n must be <= {(2**63 - 1) // design.s} at s={design.s}, got {n}")
         check_integer(n_replicates, "n_replicates", 1)
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         check_level(level)
-        if tdist.G != design.G:  # cell_probabilities' check, made before any study draws
-            raise ValueError(f"truncation pmf has {tdist.G} entries but design has G={design.G}")
+        check_tdist(tdist, design)  # cell_probabilities' check, made before any study draws
         return super().__new__(cls, theta0, design, tdist, n, n_replicates, seed, level)
 
 
@@ -107,8 +108,7 @@ def asymptotic_variance(
     check_theta(theta0)
     if theta0 in (0.0, 1.0):
         raise ValueError("asymptotic variance undefined at the boundary")
-    if tdist.G != design.G:
-        raise ValueError("truncation pmf and design disagree on G")
+    check_tdist(tdist, design)
     q = 1.0 - theta0
     window_sum = (1.0 - q**design.s) / theta0
     expected_risk = window_sum * observation_probability(theta0, tdist)

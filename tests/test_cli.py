@@ -327,6 +327,12 @@ class TestSimulate:
         assert code == 1
         assert "sum to 1" in err
 
+    @pytest.mark.parametrize("n", ["9223372036854775807", "100000000000000000000"], ids=["int64-max", "1e20"])
+    def test_n_whose_risk_time_overflows_int64_is_input_error(self, capsys, n):
+        # s * n units of risk time would wrap the int64 sum (and 1e20 overflows the multinomial draw itself)
+        code, out, err = run(capsys, *SIMULATE, "--n", n)
+        assert (code, out, err) == (1, "", f"error: n must be <= 4611686018427387903 at s=2, got {n}\n")
+
     def test_nan_tdist_is_input_error(self, capsys):
         code, out, err = run(
             capsys,
@@ -350,6 +356,14 @@ class TestCheck:
         rows = json.loads(out)
         assert len(rows) == 20
         assert all(row["abs_diff"] <= 1e-6 for row in rows)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    def test_random_cases_are_never_degenerate(self, capsys, s, seed):
+        code, out, err = run(capsys, "check", "--random", "50", "--seed", str(seed), "--s", str(s))
+        assert code == 0
+        assert [row["case"] for row in json.loads(out)] == list(range(50))
+        assert "degenerate" not in err
 
     def test_reference_table(self, capsys, table1_path):
         code, out, _ = run(

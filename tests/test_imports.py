@@ -1,17 +1,16 @@
 """Import budget: each subcommand loads only what it uses.
 
-``estimate``, ``check --input`` and ``paths`` run on the standard library
-alone; only ``simulate`` and the opt-in ``check --random`` load numpy;
-nothing loads scipy, which is a test-only dependency, and ``simulate``
-starts no process pool.  Each case runs a fresh interpreter with
-``-X importtime`` and reads the modules it imported from stderr.
+``estimate``, ``check`` (``--input`` and ``--random``) and ``paths`` run
+on the standard library alone; only ``simulate`` loads numpy; nothing
+loads scipy, which is a test-only dependency, and ``simulate`` starts no
+process pool.  Each case runs a fresh interpreter with ``-X importtime``
+and reads the modules it imported from stderr.
 
-The three standard-library subcommands also leave out the modules they do
-not run: ``estimate`` loads ``geomlife.panel_io``, ``geomlife.estimator``
-and ``geomlife.model``, and ``check --input`` adds
-``geomlife.likelihood``; ``paths`` loads ``geomlife.model`` and
-``geomlife.paths`` but neither ``geomlife.panel_io`` nor
-``geomlife.estimator``.  None loads
+The standard-library subcommands also leave out the modules they do not
+run: ``estimate`` loads ``geomlife.panel_io``, ``geomlife.estimator`` and
+``geomlife.model``, and ``check`` adds ``geomlife.likelihood``; ``paths``
+loads ``geomlife.model`` and ``geomlife.paths`` but neither
+``geomlife.panel_io`` nor ``geomlife.estimator``.  None loads
 ``dataclasses``, and only ``estimate``, for its normal quantile, loads
 ``statistics``; ``json`` is loaded for JSON output only, so ``paths`` and
 ``estimate --output-format csv`` skip it.  ``simulate`` does not load
@@ -35,8 +34,14 @@ ESTIMATE_INPUTS = {  # "UNITS" stands for the path of the units_file fixture
     "table3": ["--input", str(DATA / "table3.csv")],
     "units": ["--input", "UNITS", "--format", "units"],
 }
+CHECK_RANDOM = ["check", "--random", "3", "--seed", "1", "--s", "2"]  # takes no --G: its cases have one cohort
 SIMULATE = ["-m", "geomlife.cli", "simulate", "--theta0", "0.1", "--K", "4", "--n", "50",
             "--seed", "1", *COMMON]
+
+
+def design_flags(argv):
+    """``argv`` with ``COMMON`` appended, unless it sets ``--s`` itself."""
+    return argv if "--s" in argv else [*argv, *COMMON]
 
 
 def imported_modules(*args, cwd):
@@ -80,12 +85,13 @@ def test_estimate_needs_neither_numpy_nor_scipy(tmp_path, units_file, output_for
         (["check", "--input", str(DATA / "table3.csv"), "--output-format", "csv"], "geomlife.likelihood"),
         (["check", "--input", "UNITS", "--format", "units"], "geomlife.likelihood"),
         (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], "geomlife.paths"),
+        (CHECK_RANDOM, "geomlife.likelihood"),
     ],
-    ids=["check-aggregate", "check-stratified-csv", "check-units", "paths"],
+    ids=["check-aggregate", "check-stratified-csv", "check-units", "paths", "check-random"],
 )
 def test_check_input_and_paths_need_neither_numpy_nor_scipy(tmp_path, units_file, argv, module):
     argv = [str(units_file) if arg == "UNITS" else arg for arg in argv]
-    modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path)
+    modules = imported_modules("-m", "geomlife.cli", *design_flags(argv), cwd=tmp_path)
     assert module in modules  # the probe sees the program's imports
     assert not top_level(modules) & {"numpy", "scipy"}
 
@@ -113,16 +119,17 @@ NOT_IN_PATHS = {"dataclasses", "statistics", "geomlife.panel_io", "geomlife.esti
         ],
         (["check", "--input", str(DATA / "table1.csv")], "geomlife.likelihood", NOT_IN_CHECK),
         (["check", "--input", "UNITS", "--format", "units"], "geomlife.likelihood", NOT_IN_CHECK),
+        (CHECK_RANDOM, "geomlife.likelihood", NOT_IN_CHECK),
         (["paths", "--x", "4", "--t", "3", "--theta", "0.1"], "geomlife.paths", NOT_IN_PATHS),
     ],
     ids=[*[f"estimate-{name}-{fmt}" for name in ESTIMATE_INPUTS for fmt in ("json", "csv")],
-         "check-aggregate", "check-units", "paths"],
+         "check-aggregate", "check-units", "check-random", "paths"],
 )
 def test_stdlib_subcommands_skip_dataclasses_and_statistics(
     tmp_path, units_file, interpreter_modules, argv, module, unwanted
 ):
     argv = [str(units_file) if arg == "UNITS" else arg for arg in argv]
-    modules = imported_modules("-m", "geomlife.cli", *argv, *COMMON, cwd=tmp_path) - interpreter_modules
+    modules = imported_modules("-m", "geomlife.cli", *design_flags(argv), cwd=tmp_path) - interpreter_modules
     assert module in modules  # the probe sees the subcommand's own module
     assert not (modules | top_level(modules)) & unwanted
 
@@ -131,7 +138,7 @@ def test_stdlib_subcommands_skip_dataclasses_and_statistics(
     "argv",
     [
         ["-m", "geomlife.cli", "check", "--input", str(DATA / "table1.csv"), *COMMON],
-        ["-m", "geomlife.cli", "check", "--random", "3", "--seed", "1", "--s", "2"],
+        ["-m", "geomlife.cli", *CHECK_RANDOM],
         ["-m", "geomlife.cli", "paths", "--x", "4", "--t", "3", "--theta", "0.1", *COMMON],
         ["-m", "geomlife.cli", "simulate", "--theta0", "0.1", "--K", "4", "--n", "50",
          "--seed", "1", *COMMON],

@@ -84,6 +84,11 @@ class TestAsymptoticVariance:
         expected_risk = sum((1 - theta) ** (t + k - 1) for k in range(1, s + 1))
         assert sigma_sq == pytest.approx(expected_risk / (theta * (1 - theta)), rel=1e-12)
 
+    def test_design_must_match_pmf(self):
+        # the message of cell_probabilities and SimConfig
+        with pytest.raises(ValueError, match=r"^truncation pmf has 4 entries but design has G=5$"):
+            asymptotic_variance(0.1, DESIGN, TruncationDist.uniform(4))
+
     def test_profile_sums_to_total(self):
         profile = expected_risk_profile(0.1, DESIGN, UNIFORM)
         brute = brute_force_expected_risk(0.1, DESIGN, UNIFORM)
@@ -479,6 +484,20 @@ class TestValidation:
                 n_replicates=1,
                 seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "n,s,accepted",
+        [(2**62 - 1, 2, True), (2**62, 2, False), (2**63 - 1, 2, False), (10**20, 1, False), (2**63 - 1, 1, True),
+         (np.int64(2**62), 4, False)],
+    )
+    def test_risk_time_of_n_units_fits_int64(self, n, s, accepted):
+        # a table's risk time is at most s * n and is summed in int64: past 2**63 - 1 it wraps
+        design = StudyDesign(s=s, G=5)
+        if accepted:
+            assert config(n=n, design=design).n == n
+        else:
+            with pytest.raises(ValueError, match=rf"^n must be <= {(2**63 - 1) // s} at s={s}, got {n}$"):
+                config(n=n, design=design)
 
     @pytest.mark.parametrize("theta0", [0.0, 1.0, 1e-9])
     def test_theta0_outside_sampler_range_rejected_at_construction(self, theta0):
